@@ -382,8 +382,9 @@ def running_estimate(alpha: Formula, data: Dataset, regime: Regime = LIMIT_ONE,
 def update(est: RunningEstimate, world: World) -> RunningEstimate:
     """Fold one new observation into the estimate in O(1).
 
-    The result equals a full recompute over the extended data exactly, in
-    every regime, for unconditional and conditional targets alike.
+    Under integer or Fraction arithmetic (ONE, LIMIT_ONE, a Fraction mu) the
+    result equals a full recompute over the extended data exactly; under a
+    float fixed(mu) only up to rounding, which can build up over updates.
     """
     k = est.count
     regime = est.regime

@@ -16,7 +16,7 @@ import gzip
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ LABEL_MAGIC = 2049
 SIDE = 28
 N_PIXELS = SIDE * SIDE
 N_DIGITS = 10
-N_ATOMS = N_PIXELS + N_DIGITS
 DEFAULT_THRESHOLD = 30
 
 
@@ -62,14 +61,6 @@ class ImageSet:
         return ImageSet(self.images[:n], self.labels[:n])
 
 
-def _read_bytes(path) -> bytes:
-    if os.fspath(path).endswith(".gz"):
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def load_idx(path) -> np.ndarray:
     """Read one idx file: (n, 784) uint8 for images, (n,) uint8 for labels.
 
@@ -77,7 +68,8 @@ def load_idx(path) -> np.ndarray:
     (magic 2051) and label files (magic 2049) are recognized.
     """
     name = os.fspath(path)
-    raw = _read_bytes(path)
+    with (gzip.open if name.endswith(".gz") else open)(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 8:
         raise ValueError(f"{name}: truncated idx header")
     (magic,) = struct.unpack_from(">i", raw, 0)
@@ -242,24 +234,62 @@ def predict_digit(train: Dataset, pixel_bits: int, regime: Regime = LIMIT_ONE):
     return tuple(totals)
 
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
+_BLOCK_ROWS = 128  # test rows per distance block: 10k x 60k never exists at once
 
 
-def _pack(bits) -> np.ndarray:
+def _words(bits) -> np.ndarray:
+    """Bit rows packed into 13 uint64 words (98 bytes, zero-padded), shape (13, n)."""
     arr = np.asarray(bits, dtype=bool)
     if arr.ndim != 2 or arr.shape[1] != N_PIXELS:
         raise ValueError("expected a (n, 784) boolean array")
-    return np.packbits(arr, axis=1, bitorder="little")
+    packed = np.packbits(arr, axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, 6))).view(np.uint64).T.copy()
 
 
 def hamming_matrix(train_bits, test_bits) -> np.ndarray:
     """Pairwise Hamming distances between bit rows, shape (n_test, n_train)."""
-    train_packed = _pack(train_bits)
-    test_packed = _pack(test_bits)
-    out = np.empty((len(test_packed), len(train_packed)), dtype=np.int64)
-    for i, row in enumerate(test_packed):
-        out[i] = _POPCOUNT[train_packed ^ row].sum(axis=1, dtype=np.int64)
-    return out
+    train, test = _words(train_bits), _words(test_bits)
+    out = np.zeros((test.shape[1], train.shape[1]), dtype=np.uint16)  # at most 784
+    for w in range(len(train)):
+        out += np.bitwise_count(test[w, :, None] ^ train[w])
+    return out.astype(np.int64)
+
+
+# Scorers: distances (n_test, n_train), one-hot labels (n_train, 10) -> (n_test, 10).
+def _limit_scores(dist: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Label vote shares among the training rows at the minimum distance."""
+    votes = (dist == dist.min(axis=1, keepdims=True)) @ onehot
+    return votes / votes.sum(axis=1, keepdims=True)
+
+
+def _fixed_scores(mu):
+    """Scorer for fixed(mu): per-label share of r**(d - d_ref), r = (1 - mu) / mu.
+
+    d_ref is the minimum distance when r <= 1, else the maximum, as in
+    posterior_data; powers are taken in mu's own arithmetic, then rounded.
+    """
+    mu = fixed(mu).mu  # rejects mu outside (0, 1)
+    r = (1 - mu) / mu
+    sign = 1 if r <= 1 else -1
+    powers = np.array([float(r ** (sign * e)) for e in range(N_PIXELS + 1)])
+
+    def scores(dist: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+        ref = (dist.min if sign > 0 else dist.max)(axis=1, keepdims=True)
+        weights = powers[sign * (dist - ref)]
+        # Running sums in training order, as predict_digit adds: equal floats,
+        # where a BLAS sum splits ties. [:, -1:].sum() is 0 for an absent label.
+        weights /= np.cumsum(weights, axis=1)[:, -1:]
+        return np.stack([np.cumsum(weights[:, onehot[:, d] > 0], axis=1)[:, -1:].sum(axis=1)
+                         for d in range(N_DIGITS)], axis=1)
+    return scores
+
+
+def _knn_votes(dist: np.ndarray, onehot: np.ndarray, k: int) -> np.ndarray:
+    """Label vote shares among the k nearest rows; ties go to the earlier row."""
+    n = dist.shape[1]
+    # Distinct keys, distance first: the k smallest are a stable sort's first k.
+    nearest = np.argpartition(dist * n + np.arange(n), k - 1, axis=1)[:, :k]
+    return onehot[nearest].sum(axis=1) / k
 
 
 def knn_scores(train_bits, train_labels, test_bits, k: int) -> np.ndarray:
@@ -268,15 +298,14 @@ def knn_scores(train_bits, train_labels, test_bits, k: int) -> np.ndarray:
     Distance ties are broken by training order (stable sort), matching the
     brute-force reference.
     """
-    labels = np.asarray(train_labels, dtype=np.int64)
-    if not 1 <= k <= labels.size:
-        raise ValueError(f"k must lie in 1..{labels.size}, got {k}")
-    dist = hamming_matrix(train_bits, test_bits)
-    out = np.zeros((dist.shape[0], N_DIGITS), dtype=np.float64)
-    for i in range(dist.shape[0]):
-        for lab in labels[np.argsort(dist[i], kind="stable")[:k]]:
-            out[i, lab] += 1
-    return out / k
+    onehot = np.eye(N_DIGITS)[np.asarray(train_labels, dtype=np.int64)]
+    if not 1 <= k <= len(onehot):
+        raise ValueError(f"k must lie in 1..{len(onehot)}, got {k}")
+    out = np.zeros((len(test_bits), N_DIGITS))
+    for start in range(0, len(out), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        out[rows] = _knn_votes(hamming_matrix(train_bits, test_bits[rows]), onehot, k)
+    return out
 
 
 @dataclass(frozen=True)
@@ -301,28 +330,13 @@ def roc_curve(scores, labels) -> RocCurve:
     if pos == 0 or neg == 0:
         raise ValueError("roc needs at least one positive and one negative example")
     order = np.argsort(-scores, kind="stable")
-    ranked_scores = scores[order]
-    ranked_labels = labels[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    auc = 0.0
-    prev_fpr = prev_tpr = 0.0
-    i = 0
-    n = scores.size
-    while i < n:
-        cut = ranked_scores[i]
-        while i < n and ranked_scores[i] == cut:
-            if ranked_labels[i]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        fpr = fp / neg
-        tpr = tp / pos
-        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2
-        points.append((fpr, tpr))
-        prev_fpr, prev_tpr = fpr, tpr
-    return RocCurve(tuple(points), auc)
+    ranked, hits = scores[order], labels[order]
+    # One point after each group of tied scores; areas summed in sweep order.
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    fpr = np.append(0.0, np.cumsum(~hits)[ends] / neg)
+    tpr = np.append(0.0, np.cumsum(hits)[ends] / pos)
+    auc = np.cumsum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2)[-1]
+    return RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())), float(auc))
 
 
 def roc_auc(scores, labels) -> float:
@@ -341,14 +355,6 @@ class CurvePoint:
     macro_auc: float
 
 
-def _method_token(method: str, param: str) -> str:
-    if method == "gl-limit":
-        return method
-    if method == "gl-mu":
-        return f"gl-mu{param}"
-    return f"knn-k{param}"
-
-
 def learning_curve(train: ImageSet, test: ImageSet, sizes=(100, 300, 1000),
                    mus=(0.8,), include_limit: bool = True, ks=(1, 3, 5),
                    threshold: int = DEFAULT_THRESHOLD, test_size: int = 1000,
@@ -356,54 +362,47 @@ def learning_curve(train: ImageSet, test: ImageSet, sizes=(100, 300, 1000),
     """One-vs-rest AUC per digit for each method and training-set size.
 
     Methods: the limit-regime predictor, a fixed-mu predictor per value in
-    mus, and the Hamming k-nearest-neighbour baseline per value in ks.
-    Prefixes of the given sets are used throughout. When out_dir is given,
-    writes learning_curve.csv and, for the largest size, one
-    roc_<method>_<digit>.csv per method and digit.
+    mus (float or Fraction) and the Hamming k-nearest-neighbour baseline per
+    value in ks, all on prefixes of the given sets. They score from one
+    distance matrix, test rows by the largest training prefix, built a block
+    of test rows at a time; each size reads a column prefix. The scores are
+    predict_digit's, with no formula built. When out_dir is given, writes
+    learning_curve.csv and, for the largest size, roc_<method>_<digit>.csv.
     """
     sizes = tuple(sorted({int(s) for s in sizes}))
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive")
     if sizes[-1] > len(train):
         raise ValueError(f"largest size {sizes[-1]} exceeds the {len(train)} training images")
-    subset_test = test.take(min(test_size, len(test)))
-    test_bits = binarize(subset_test.images, threshold)
-    test_packed = np.packbits(test_bits, axis=1, bitorder="little")
-    test_labels = np.asarray(subset_test.labels, dtype=np.int64)
+    ks = tuple(map(int, ks))
+    if not all(1 <= k <= sizes[0] for k in ks):
+        raise ValueError(f"every k must lie in 1..{sizes[0]}, got {ks}")
+    test = test.take(min(test_size, len(test)))
+    test_bits = binarize(test.images, threshold)
+    train = train.take(sizes[-1])
+    train_bits = binarize(train.images, threshold)
+    onehot = np.eye(N_DIGITS)[train.labels]
 
-    methods: list[tuple[str, str]] = []
-    if include_limit:
-        methods.append(("gl-limit", ""))
-    methods.extend(("gl-mu", str(mu)) for mu in mus)
-    methods.extend(("knn", str(int(k))) for k in ks)
+    # (method, param, ROC file token, scorer); "/" cannot go in a file name
+    methods = [("gl-limit", "", "gl-limit", _limit_scores)] if include_limit else []
+    methods += [("gl-mu", str(mu), f"gl-mu{mu}".replace("/", "_"), _fixed_scores(mu))
+                for mu in mus]
+    methods += [("knn", str(k), f"knn-k{k}", partial(_knn_votes, k=k)) for k in ks]
+    cells = [(size, *method) for size in sizes for method in methods]
+    blocks = []
+    for start in range(0, len(test_bits), _BLOCK_ROWS):
+        dist = hamming_matrix(train_bits, test_bits[start : start + _BLOCK_ROWS])
+        blocks.append([score(dist[:, :size], onehot[:size]) for size, *_, score in cells])
 
-    points: list[CurvePoint] = []
-    roc_out: dict[tuple[str, int], RocCurve] = {}
-    for size in sizes:
-        subset = train.take(size)
-        train_bits = binarize(subset.images, threshold)
-        train_ds = image_dataset(subset, threshold)
-        for method, param in methods:
-            if method == "knn":
-                scores = knn_scores(train_bits, subset.labels, test_bits, int(param))
-            else:
-                regime = LIMIT_ONE if method == "gl-limit" else fixed(float(param))
-                scores = np.zeros((len(subset_test), N_DIGITS))
-                for i, row in enumerate(test_packed):
-                    post = predict_digit(train_ds, int.from_bytes(row.tobytes(), "little"),
-                                         regime)
-                    scores[i] = [float(x) for x in post]
-            aucs = []
-            for digit in range(N_DIGITS):
-                curve = roc_curve(scores[:, digit], test_labels == digit)
-                aucs.append(curve.auc)
-                if size == sizes[-1]:
-                    roc_out[(_method_token(method, param), digit)] = curve
-            macro = sum(aucs) / N_DIGITS
-            points.extend(
-                CurvePoint(method, param, size, digit, aucs[digit], macro)
-                for digit in range(N_DIGITS)
-            )
+    points, roc_out = [], {}
+    columns = map(np.concatenate, zip(*blocks))  # each cell's scores, all test rows
+    for (size, method, param, token, _), scores in zip(cells, columns):
+        curves = [roc_curve(scores[:, d], test.labels == d) for d in range(N_DIGITS)]
+        if size == sizes[-1]:
+            roc_out.update(((token, d), c) for d, c in enumerate(curves))
+        macro = sum(c.auc for c in curves) / N_DIGITS
+        points.extend(CurvePoint(method, param, size, d, c.auc, macro)
+                      for d, c in enumerate(curves))
     if out_dir is not None:
         _write_curve_files(points, roc_out, out_dir)
     return tuple(points)

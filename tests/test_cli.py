@@ -318,6 +318,21 @@ def test_mnist_curve(mnist_dir, tmp_path, capsys):
     assert len(lines) == 1 + 3 * 2 * 10
 
 
+def test_mnist_curve_exact(mnist_dir, tmp_path, capsys):
+    out = tmp_path / "curve"
+    rc, _, _ = run(
+        capsys, "mnist", "curve", "--mnist-dir", str(mnist_dir), "--exact",
+        "--sizes", "10", "--test", "20", "--out", str(out),
+    )
+    assert rc == 0
+    lines = (out / "learning_curve.csv").read_text().splitlines()
+    mu_rows = [ln for ln in lines if ln.startswith("gl-mu,")]
+    assert len(mu_rows) == 10
+    assert all(ln.startswith("gl-mu,4/5,10,") for ln in mu_rows)
+    assert sorted(p.name for p in out.glob("roc_gl-mu*")) == [
+        f"roc_gl-mu4_5_{d}.csv" for d in range(10)]
+
+
 def test_mnist_curve_rejects_strict_regime(mnist_dir, tmp_path, capsys):
     rc, _, _ = run(
         capsys, "mnist", "curve", "--mnist-dir", str(mnist_dir),

@@ -2,11 +2,13 @@
 
 import gzip
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
 
 from genlogic import LIMIT_ONE, ONE, Atom, Query, UNDEFINED, cond_prob, fixed
+from genlogic import mnist
 from genlogic.mnist import (
     DEFAULT_THRESHOLD,
     ImageSet,
@@ -268,6 +270,92 @@ def test_knn_tie_break_prefers_earlier_rows():
         knn_scores(train, labels, test, k=0)
     with pytest.raises(ValueError):
         knn_scores(train, labels, test, k=4)
+
+
+def _with_duplicates(images: ImageSet) -> ImageSet:
+    """Images 0..59, then 0..29 again: prefixes past 60 hold exact copies."""
+    idx = np.r_[np.arange(60), np.arange(30)]
+    return ImageSet(images.images[idx], images.labels[idx])
+
+
+def test_curve_scores_equal_spec_paths(small_sets):
+    train, test = small_sets
+    train = _with_duplicates(train)
+    train_bits = binarize(train.images, DEFAULT_THRESHOLD)
+    test_bits = binarize(test.images, DEFAULT_THRESHOLD)
+    dist = hamming_matrix(train_bits, test_bits)
+    brute = allnn_bruteforce(train_bits.tolist(), test_bits.tolist())
+    packed = np.packbits(test_bits, axis=1, bitorder="little")
+    images = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    for size in (45, 75, 90):
+        data = image_dataset(train.take(size))
+        d, onehot = dist[:, :size], np.eye(10)[train.labels[:size]]
+
+        def spec(regime):
+            return np.array([[float(p) for p in predict_digit(data, bits, regime)]
+                             for bits in images])
+
+        assert np.array_equal(mnist._limit_scores(d, onehot), spec(LIMIT_ONE))
+        # Same float operations in the same order: equal, not merely close.
+        assert np.array_equal(mnist._fixed_scores(0.8)(d, onehot), spec(fixed(0.8)))
+        np.testing.assert_allclose(mnist._fixed_scores(Fraction(4, 5))(d, onehot),
+                                   spec(fixed(Fraction(4, 5))), rtol=1e-12, atol=0)
+        for k in (1, 2, 5):
+            want = np.zeros((len(test), 10))
+            for i, row in enumerate(brute):
+                for j in sorted(range(size), key=lambda j: row[j])[:k]:  # stable
+                    want[i, train.labels[j]] += 1
+            assert np.array_equal(mnist._knn_votes(d, onehot, k), want / k)
+
+
+def test_curve_blocks_over_test_rows(small_sets, monkeypatch):
+    train, test = small_sets
+    args = dict(sizes=(40, 120), mus=(0.8, Fraction(4, 5)), ks=(1, 3), test_size=40)
+    train_bits = binarize(train.images, DEFAULT_THRESHOLD)
+    test_bits = binarize(test.images, DEFAULT_THRESHOLD)
+    whole = learning_curve(train, test, **args)
+    knn_whole = knn_scores(train_bits, train.labels, test_bits, 3)
+
+    calls = []
+    hamming = mnist.hamming_matrix
+    monkeypatch.setattr(mnist, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(mnist, "hamming_matrix",
+                        lambda a, b: calls.append(len(b)) or hamming(a, b))
+    assert learning_curve(train, test, **args) == whole
+    assert np.array_equal(knn_scores(train_bits, train.labels, test_bits, 3), knn_whole)
+    assert calls == [7, 7, 7, 7, 7, 5] * 2
+
+
+def test_learning_curve_rejects_bad_k_and_mu(small_sets):
+    train, test = small_sets
+    for bad in (dict(ks=(0,)), dict(ks=(41,)), dict(mus=(1,)), dict(mus=(0,))):
+        with pytest.raises(ValueError):
+            learning_curve(train, test, sizes=(40,), test_size=10, **bad)
+
+
+def _roc_sweep(scores, labels):
+    """The threshold sweep written as a loop, one tie group at a time."""
+    ranked = sorted(zip(scores, labels), key=lambda pair: -pair[0])
+    pos = sum(labels)
+    neg = len(labels) - pos
+    points, auc, tp, fp = [(0.0, 0.0)], 0.0, 0, 0
+    for _, group in groupby(ranked, key=lambda pair: pair[0]):
+        for _, positive in group:
+            tp, fp = tp + positive, fp + (not positive)
+        (prev_fpr, prev_tpr), fpr, tpr = points[-1], fp / neg, tp / pos
+        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2
+        points.append((fpr, tpr))
+    return tuple(points), auc
+
+
+def test_roc_equals_loop_sweep():
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 50, 300):
+        scores = rng.integers(0, 6, size=n) / 5  # heavy ties
+        labels = rng.random(n) < 0.3
+        labels[:2] = (True, False)
+        curve = roc_curve(scores, labels)
+        assert (curve.points, curve.auc) == _roc_sweep(scores.tolist(), labels.tolist())
 
 
 def test_roc_golden():
