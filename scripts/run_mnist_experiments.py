@@ -10,6 +10,7 @@ synthetic digits otherwise.
 import argparse
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from genlogic.mnist import (
@@ -26,8 +27,18 @@ def comma_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def comma_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+def comma_mus(text: str) -> tuple:
+    """mu values in (0, 1): an item with a '/' is an exact Fraction, else a float."""
+    mus = []
+    for part in text.split(","):
+        try:
+            mu = Fraction(part) if "/" in part else float(part)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"not a number: {part!r}") from None
+        if not 0 < mu < 1:
+            raise argparse.ArgumentTypeError(f"mu must lie in (0, 1), got {part!r}")
+        mus.append(mu)
+    return tuple(mus)
 
 
 def main(argv=None) -> int:
@@ -38,8 +49,9 @@ def main(argv=None) -> int:
                         help="training-set sizes for the curve (default 100,300,1000)")
     parser.add_argument("--test", type=int, default=1000,
                         help="test prefix size (default %(default)s)")
-    parser.add_argument("--mus", type=comma_floats, default=(0.8,),
-                        help="fixed mu values to sweep (default 0.8)")
+    parser.add_argument("--mus", type=comma_mus, default=(0.8,),
+                        help="fixed mu values to sweep, floats or fractions like 4/5 "
+                             "(default 0.8)")
     parser.add_argument("--k", type=comma_ints, default=(1, 3, 5),
                         help="neighbour counts for the baseline (default 1,3,5)")
     parser.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,

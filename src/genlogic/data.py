@@ -4,17 +4,48 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
 
+import numpy as np
+
 from .signature import Signature
-from .worlds import World, enumerate_worlds
+from .worlds import World, enumerate_worlds, pack
+
+
+class _Packed:
+    """The array form the engine scores, built on first use: packed ``words``,
+    ``masses`` as integer numerators over ``denominator`` (int64 while they sum
+    below 2**63, so no partial sum overflows, else Python ints; float64 over 1
+    when any weight is not rational) and the ``positive`` mask of mass > 0.
+    """
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        return pack((w.bits for w in self._columns()[0]), self.signature.n_atoms)
+
+    @cached_property
+    def _numerators(self) -> tuple[np.ndarray, int]:
+        values = self._columns()[1]
+        if not all(isinstance(v, Rational) for v in values):
+            return np.array([float(v) for v in values]), 1
+        den = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        return np.array(nums, dtype=np.int64 if sum(nums) < 2**63 else object), den
+
+    masses = property(lambda self: self._numerators[0])
+    denominator = property(lambda self: self._numerators[1])
+
+    @cached_property
+    def positive(self) -> np.ndarray:
+        return np.asarray(self.masses > 0, dtype=bool)
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(_Packed):
     """Multiset of observed worlds, kept as (world, multiplicity) entries."""
 
     entries: tuple[tuple[World, int], ...]
@@ -49,6 +80,9 @@ class Dataset:
     def extended(self, world: World, count: int = 1) -> "Dataset":
         """A new dataset with one more entry appended."""
         return Dataset(self.entries + ((world, count),))
+
+    def _columns(self):
+        return [w for w, _ in self.entries], [c for _, c in self.entries]
 
 
 def dataset_from_csv(text: str, sig: Signature) -> Dataset:
@@ -111,7 +145,7 @@ def read_dataset_csv(path, sig: Signature) -> Dataset:
 
 
 @dataclass(frozen=True)
-class ModelDistribution:
+class ModelDistribution(_Packed):
     """Probability weights over an explicit list of worlds.
 
     Weights must be nonnegative and sum to one: exactly so when every
@@ -127,8 +161,8 @@ class ModelDistribution:
         if len(self.worlds) != len(self.weights):
             raise ValueError("worlds and weights differ in length")
         for wt in self.weights:
-            if wt < 0:
-                raise ValueError(f"negative weight {wt!r}")
+            if not wt >= 0:  # also rejects nan
+                raise ValueError(f"negative or nan weight {wt!r}")
         total = sum(self.weights)
         if all(isinstance(wt, Rational) for wt in self.weights):
             if total != 1:
@@ -140,14 +174,17 @@ class ModelDistribution:
     def signature(self) -> Signature:
         return self.worlds[0].signature
 
+    def _columns(self):
+        return self.worlds, self.weights
+
     @cached_property
     def all_positive(self) -> bool:
         """True when every listed world carries positive mass."""
-        return all(wt > 0 for wt in self.weights)
+        return bool(self.positive.all())
 
     def support(self) -> list[World]:
         """The possible worlds: those with nonzero weight."""
-        return [w for w, wt in zip(self.worlds, self.weights) if wt > 0]
+        return [w for w, keep in zip(self.worlds, self.positive.tolist()) if keep]
 
 
 def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> ModelDistribution:
@@ -160,9 +197,8 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
     the weights become floats.
     """
     worlds = enumerate_worlds(sig)
-    index = {w.bits: i for i, w in enumerate(worlds)}
-    weights = [Fraction(0)] * len(worlds)
-    seen: set[int] = set()
+    weights: list = [None] * len(worlds)
+    parsed: dict[str, Fraction] = {}  # equal weight texts parse once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,26 +208,28 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
             raise ValueError(f"line {lineno}: expected 'bits weight', got {raw!r}")
         bits_text, weight_text = fields
         try:
-            world = World.from_bitstring(sig, bits_text)
+            World.from_bitstring(sig, bits_text)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        if world.bits in seen:
+        i = int(bits_text, 2)  # its row in enumerate_worlds order
+        if weights[i] is not None:
             raise ValueError(f"line {lineno}: world {bits_text} listed twice")
-        seen.add(world.bits)
-        try:
-            weight = Fraction(weight_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: bad weight {weight_text!r}") from exc
-        if weight < 0:
-            raise ValueError(f"line {lineno}: negative weight {weight_text}")
-        weights[index[world.bits]] = weight
+        if weight_text not in parsed:
+            try:
+                parsed[weight_text] = Fraction(weight_text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"line {lineno}: bad weight {weight_text!r}") from exc
+            if parsed[weight_text] < 0:
+                raise ValueError(f"line {lineno}: negative weight {weight_text}")
+        weights[i] = parsed[weight_text]
+    weights = [Fraction(0) if wt is None else wt for wt in weights]
     total = sum(weights)
     if abs(total - 1) > Fraction(1, 10**9):
         raise ValueError(f"weights sum to {float(total)}, expected 1 within 1e-9")
-    normalized = [wt / total for wt in weights]
+    share = {wt: wt / total for wt in set(weights)}  # equal weights share one value
     if not exact:
-        normalized = [float(wt) for wt in normalized]
-    return ModelDistribution(tuple(worlds), tuple(normalized))
+        share = {wt: float(v) for wt, v in share.items()}
+    return ModelDistribution(tuple(worlds), tuple(share[wt] for wt in weights))
 
 
 def read_distribution(path, sig: Signature, exact: bool = True) -> ModelDistribution:

@@ -19,18 +19,29 @@ mu is treated:
 Arithmetic follows the numeric types supplied: exact fractions in, exact
 fractions out; floats in, floats out. Dataset paths with ``ONE`` or
 ``LIMIT_ONE`` count integers and return exact fractions.
+
+Every all-worlds path scores all worlds at once on the source's packed
+words, and the conditional family (``cond_prob``, ``prob``, ``joint_prob``,
+``cond_prob_multi``) reduces one histogram of mass by (premise score,
+satisfied conclusions) under one per-score weight table. Exact results equal
+a per-world sum. Float posteriors are summed left to right in world order,
+bit-identical to a per-world loop; float conditionals come from the histogram
+and may differ from a per-world sum by rounding only. ``update`` folds in
+one world at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .data import Dataset, ModelDistribution
 from .formulas import Atom, Formula, Not
-from .signature import Signature
-from .worlds import World, evaluate
+from .worlds import World, evaluate, pack, truth
 
 
 class Undefined:
@@ -91,86 +102,74 @@ class Query:
     premises: tuple[Formula, ...] = ()
 
 
-class _Scorer:
-    """Counts, per world, how many premise occurrences hold.
-
-    Literal premises (atoms and negated atoms) are folded into bit masks so
-    a world is scored with a few popcounts; a literal occurring k times gets
-    k mask layers. Non-literal premises fall back to tree evaluation.
-    """
-
-    __slots__ = ("pos_layers", "neg_layers", "residual", "size")
-
-    def __init__(self, premises: Sequence[Formula], sig: Signature):
-        pos_counts: dict[int, int] = {}
-        neg_counts: dict[int, int] = {}
-        residual: list[Formula] = []
-        index = sig.atom_index
-        for f in premises:
-            if isinstance(f, Atom):
-                key = f.key()
-                idx = index.get(key)
-                if idx is None:
-                    raise ValueError(f"atom {key!r} is not in the signature")
-                pos_counts[idx] = pos_counts.get(idx, 0) + 1
-            elif isinstance(f, Not) and isinstance(f.body, Atom):
-                key = f.body.key()
-                idx = index.get(key)
-                if idx is None:
-                    raise ValueError(f"atom {key!r} is not in the signature")
-                neg_counts[idx] = neg_counts.get(idx, 0) + 1
-            else:
-                residual.append(f)
-        self.pos_layers = _mask_layers(pos_counts)
-        self.neg_layers = [(m, m.bit_count()) for m in _mask_layers(neg_counts)]
-        self.residual = residual
-        self.size = len(premises)
-
-    def __call__(self, world: World) -> int:
-        bits = world.bits
-        s = 0
-        for mask in self.pos_layers:
-            s += (bits & mask).bit_count()
-        for mask, popcount in self.neg_layers:
-            s += popcount - (bits & mask).bit_count()
-        for f in self.residual:
-            if evaluate(f, world):
-                s += 1
-        return s
-
-
-def _mask_layers(counts: dict[int, int]) -> list[int]:
-    layers: list[int] = []
-    remaining = dict(counts)
-    while remaining:
-        mask = 0
-        nxt: dict[int, int] = {}
-        for idx, c in remaining.items():
-            mask |= 1 << idx
-            if c > 1:
-                nxt[idx] = c - 1
-        layers.append(mask)
-        remaining = nxt
-    return layers
-
-
 def score(premises: Sequence[Formula], world: World) -> int:
     """How many premise occurrences hold at the world (multiset count)."""
-    return _Scorer(tuple(premises), world.signature)(world)
+    return sum(evaluate(f, world) for f in premises)
 
 
-def _items(source):
-    if isinstance(source, Dataset):
-        return [w for w, _ in source.entries], [c for _, c in source.entries]
-    if isinstance(source, ModelDistribution):
-        return list(source.worlds), list(source.weights)
-    raise TypeError("source must be a Dataset or a ModelDistribution")
+def _scores(formulas, words: np.ndarray, index) -> np.ndarray:
+    """Per row, how many formula occurrences hold: literals by masked popcount,
+    one pass per multiplicity, other formulas by their truth column."""
+    s = np.zeros(len(words), dtype=np.int64)
+    masks: dict[int, list[int]] = {}  # multiplicity -> [atom bits, negated-atom bits]
+    for f, k in Counter(formulas).items():
+        negated = isinstance(f, Not) and isinstance(f.body, Atom)
+        atom = f.body if negated else f
+        j = index.get(atom.key()) if isinstance(atom, Atom) else None
+        if j is None:
+            s += k * truth(f, words, index)  # raises for an unknown atom
+        else:
+            masks.setdefault(k, [0, 0])[negated] |= 1 << j
+    for k, (pos, neg) in masks.items():
+        pos, neg = pack((pos, neg), 64 * words.shape[1])
+        hits = np.bitwise_count(words & pos) + np.bitwise_count(~words & neg)
+        s += k * hits.sum(axis=1, dtype=np.int64)
+    return s
+
+
+def _histogram(premises, conclusions, source) -> list[list]:
+    """Source mass by (premise score, satisfied conclusion count), as lists of
+    Python numbers."""
+    if not isinstance(source, (Dataset, ModelDistribution)):
+        raise TypeError("source must be a Dataset or a ModelDistribution")
+    index = source.signature.atom_index
+    s = _scores(premises, source.words, index)
+    c = _scores(conclusions, source.words, index)
+    hist = np.zeros((len(premises) + 1, len(conclusions) + 1), dtype=source.masses.dtype)
+    np.add.at(hist, (s, c), source.masses)
+    den = source.denominator
+    return [[_ratio(m, den) if den != 1 else m for m in row] for row in hist.tolist()]
 
 
 def _ratio(num, den):
     if isinstance(num, int) and isinstance(den, int):
         return Fraction(num, den)
     return num / den
+
+
+def _weights(regime: Regime, n: int, lo: int, hi: int) -> list:
+    """Weight of each premise score 0..n: the one regime dispatch.
+
+    [lo, hi] spans the scores of positive mass; others get 0. ONE keeps score
+    n, LIMIT_ONE score hi, fixed(mu) weighs s by r**(s_ref - s), r = (1-mu)/mu,
+    s_ref = hi if r <= 1 else lo: the top weight is 1, so floats cannot all
+    underflow.
+    """
+    if regime.kind == "one":
+        return [int(s == n) for s in range(n + 1)]
+    if regime.kind == "limit":
+        return [int(s == hi) for s in range(n + 1)]
+    r = (1 - regime.mu) / regime.mu
+    ref = hi if r <= 1 else lo
+    return [r ** (ref - s) if lo <= s <= hi else 0 for s in range(n + 1)]
+
+
+def _factors(regime: Regime, k: int) -> list:
+    """Likelihood of k formula occurrences of which c hold, for c = 0..k."""
+    if regime.kind != "fixed":
+        return [int(c == k) for c in range(k + 1)]
+    mu = regime.mu
+    return [mu**c * (1 - mu) ** (k - c) for c in range(k + 1)]
 
 
 def _factor(f: Formula, world: World, regime: Regime):
@@ -182,49 +181,15 @@ def _factor(f: Formula, world: World, regime: Regime):
 
 def _conditional(conclusions, premises, source, regime):
     """Shared kernel: p(all conclusions | premises) under the regime."""
-    worlds, masses = _items(source)
-    sig = worlds[0].signature
-    scorer = _Scorer(premises, sig)
-    scores = [scorer(w) for w in worlds]
-
-    if regime.kind == "fixed":
-        mu = regime.mu
-        r = (1 - mu) / mu
-        live = [s for s, m in zip(scores, masses) if m > 0]
-        if not live:
-            return UNDEFINED
-        # Normalize so the largest factor is 1: exact in rationals, and in
-        # floats only negligible terms can underflow, never the whole sum.
-        s_ref = max(live) if r <= 1 else min(live)
-        num = 0
-        den = 0
-        for w, m, s in zip(worlds, masses, scores):
-            if m <= 0:
-                continue
-            weight = m * r ** (s_ref - s)
-            den = den + weight
-            for c in conclusions:
-                weight = weight * (mu if evaluate(c, w) else 1 - mu)
-            num = num + weight
-        return num / den
-
-    if regime.kind == "one":
-        target = scorer.size
-    else:  # limit: restrict to the maximal premise score among possible worlds
-        live = [s for s, m in zip(scores, masses) if m > 0]
-        if not live:
-            return UNDEFINED
-        target = max(live)
-    num = 0
-    den = 0
-    for w, m, s in zip(worlds, masses, scores):
-        if m <= 0 or s != target:
-            continue
-        den = den + m
-        if all(evaluate(c, w) for c in conclusions):
-            num = num + m
+    hist = _histogram(premises, conclusions, source)
+    rows = [sum(row) for row in hist]
+    live = [s for s, m in enumerate(rows) if m > 0]
+    weights = _weights(regime, len(premises), live[0], live[-1])
+    factors = _factors(regime, len(conclusions))
+    den = sum(w * m for w, m in zip(weights, rows))
     if den == 0:
         return UNDEFINED
+    num = sum(w * f * m for w, row in zip(weights, hist) for f, m in zip(factors, row))
     return _ratio(num, den)
 
 
@@ -252,7 +217,9 @@ def cond_prob(query: Query, source, regime: Regime = LIMIT_ONE):
 
     Returns UNDEFINED in the ONE regime when no possible world satisfies
     every premise; LIMIT_ONE and fixed(mu) are total. An empty premise list
-    reduces to prob().
+    reduces to prob(). Exact answers are exact; a float answer is summed by
+    premise score and conclusion count, so it may differ from a per-world
+    sum by rounding only.
     """
     return _conditional((query.conclusion,), tuple(query.premises), source, regime)
 
@@ -262,32 +229,48 @@ def cond_prob_multi(conclusions, premises, source, regime: Regime = LIMIT_ONE):
     return _conditional(tuple(conclusions), tuple(premises), source, regime)
 
 
+def _posterior(premises, source, regime, weighted: bool):
+    """Each world's regime weight (times its mass when weighted) over the total.
+
+    Floats when mu or the masses are, the total summed left to right in world
+    order; else exact, equal shares being one Fraction. UNDEFINED at total 0.
+    """
+    premises = tuple(premises)
+    s = _scores(premises, source.words, source.signature.atom_index)
+    live = s[source.positive]
+    table = _weights(regime, len(premises), int(live.min()), int(live.max()))
+    masses = source.masses
+    floats = masses.dtype == np.float64 or isinstance(regime.mu, float)
+    if floats and source.denominator != 1:
+        masses = np.array([m / source.denominator for m in masses.tolist()])
+    sel = np.array([float(w) for w in table] if floats else table)[s]  # exact: int64 or object
+    vals = sel * masses
+    out = vals if weighted else sel
+    if floats:
+        total = np.cumsum(vals)[-1]
+        return UNDEFINED if total == 0 else tuple((out / total).tolist())
+    nz = np.flatnonzero(out)
+    total = sum(vals[nz].tolist())
+    if total == 0:
+        return UNDEFINED
+    shares, seen = [Fraction(0)] * len(out), {}
+    for i, v in zip(nz.tolist(), out[nz].tolist()):
+        if v not in seen:
+            seen[v] = _ratio(v, total)
+        shares[i] = seen[v]
+    return tuple(shares)
+
+
 def posterior_data(premises: Sequence[Formula], data: Dataset, regime: Regime = LIMIT_ONE):
     """Per-observation posterior weight given the premises.
 
     Returns one value per dataset entry, the probability of any single
     observation from that entry; entry values times multiplicities sum
     to 1. UNDEFINED in the ONE regime when no observation satisfies every
-    premise.
+    premise. Float weights are bit-identical to a left-to-right sum in
+    entry order.
     """
-    premises = tuple(premises)
-    scorer = _Scorer(premises, data.signature)
-    scores = [scorer(w) for w, _ in data.entries]
-    masses = [c for _, c in data.entries]
-    if regime.kind == "one":
-        sel = [1 if s == scorer.size else 0 for s in scores]
-    elif regime.kind == "limit":
-        s_star = max(scores)
-        sel = [1 if s == s_star else 0 for s in scores]
-    else:
-        mu = regime.mu
-        r = (1 - mu) / mu
-        s_ref = max(scores) if r <= 1 else min(scores)
-        sel = [r ** (s_ref - s) for s in scores]
-    total = sum(w * m for w, m in zip(sel, masses))
-    if total == 0:
-        return UNDEFINED
-    return tuple(_ratio(w, total) for w in sel)
+    return _posterior(premises, data, regime, weighted=False)
 
 
 def posterior_models(premises: Sequence[Formula], dist: ModelDistribution,
@@ -295,30 +278,10 @@ def posterior_models(premises: Sequence[Formula], dist: ModelDistribution,
     """Posterior weight of each listed world given the premises.
 
     Aligned with dist.worlds; weights sum to 1. UNDEFINED in the ONE regime
-    when no possible world satisfies every premise.
+    when no possible world satisfies every premise. Float weights are
+    bit-identical to a left-to-right sum in world order.
     """
-    premises = tuple(premises)
-    scorer = _Scorer(premises, dist.signature)
-    scores = [scorer(w) for w in dist.worlds]
-    masses = list(dist.weights)
-    live = [s for s, m in zip(scores, masses) if m > 0]
-    if not live:
-        return UNDEFINED
-    if regime.kind == "one":
-        sel = [1 if s == scorer.size else 0 for s in scores]
-    elif regime.kind == "limit":
-        s_star = max(live)
-        sel = [1 if s == s_star else 0 for s in scores]
-    else:
-        mu = regime.mu
-        r = (1 - mu) / mu
-        s_ref = max(live) if r <= 1 else min(live)
-        sel = [r ** (s_ref - s) if m > 0 else 0 for s, m in zip(scores, masses)]
-    vals = [w * m for w, m in zip(sel, masses)]
-    total = sum(vals)
-    if total == 0:
-        return UNDEFINED
-    return tuple(_ratio(v, total) for v in vals)
+    return _posterior(premises, dist, regime, weighted=True)
 
 
 @dataclass(frozen=True)
@@ -344,39 +307,19 @@ class RunningEstimate:
 
 def running_estimate(alpha: Formula, data: Dataset, regime: Regime = LIMIT_ONE,
                      premises: Sequence[Formula] = ()) -> RunningEstimate:
-    """Initialize a streaming estimate with one pass over the data."""
+    """Initialize a streaming estimate from all-worlds passes over the data."""
     premises = tuple(premises)
     k = data.size
     if not premises:
-        num = 0
-        for w, c in data.entries:
-            num = num + c * _factor(alpha, w, regime)
-        return RunningEstimate(alpha, (), regime, k, _ratio(num, k))
-    if regime.kind == "limit":
-        scorer = _Scorer(premises, data.signature)
-        s_best = max(scorer(w) for w, _ in data.entries)
-        den = 0
-        num = 0
-        for w, c in data.entries:
-            if scorer(w) == s_best:
-                den += c
-                if evaluate(alpha, w):
-                    num += c
-        premise_value = Fraction(den if s_best == len(premises) else 0, k)
-        return RunningEstimate(alpha, premises, regime, k, Fraction(num, den),
-                               premise_value, best=(s_best, den, num))
-    joint = 0
-    prem = 0
-    for w, c in data.entries:
-        fd = 1
-        for p in premises:
-            fd = fd * _factor(p, w, regime)
-        joint = joint + c * fd * _factor(alpha, w, regime)
-        prem = prem + c * fd
-    joint_value = _ratio(joint, k)
-    premise_value = _ratio(prem, k)
-    value = UNDEFINED if premise_value == 0 else joint_value / premise_value
-    return RunningEstimate(alpha, premises, regime, k, value, premise_value)
+        return RunningEstimate(alpha, (), regime, k, prob(alpha, data, regime))
+    value = cond_prob(Query(alpha, premises), data, regime)
+    premise_value = joint_prob(premises, data, ONE if regime.kind == "limit" else regime)
+    if regime.kind != "limit":
+        return RunningEstimate(alpha, premises, regime, k, value, premise_value)
+    hist = _histogram(premises, (alpha,), data)
+    s_best = max(s for s, row in enumerate(hist) if sum(row))
+    return RunningEstimate(alpha, premises, regime, k, value, premise_value,
+                           best=(s_best, sum(hist[s_best]), hist[s_best][1]))
 
 
 def update(est: RunningEstimate, world: World) -> RunningEstimate:
@@ -419,10 +362,13 @@ def update(est: RunningEstimate, world: World) -> RunningEstimate:
 def classical_entails(premises: Sequence[Formula], alpha: Formula,
                       worlds: Sequence[World]) -> bool:
     """Every world satisfying all premises also satisfies the conclusion."""
-    for w in worlds:
-        if all(evaluate(p, w) for p in premises) and not evaluate(alpha, w):
-            return False
-    return True
+    worlds = tuple(worlds)
+    if not worlds:
+        return True
+    index = worlds[0].signature.atom_index
+    words = pack((w.bits for w in worlds), len(index))
+    hold = _scores(premises, words, index) == len(premises)
+    return not (hold & ~truth(alpha, words, index)).any()
 
 
 def possible_entails(premises: Sequence[Formula], alpha: Formula,
@@ -441,22 +387,19 @@ class SubsetAnalysis:
 
 def _maximal_subsets(premises, worlds) -> SubsetAnalysis:
     formulas = list(dict.fromkeys(premises))  # set semantics
+    worlds = tuple(worlds)
     if not worlds:
         raise ValueError("no worlds to judge consistency against")
-    best = -1
-    subsets: set[frozenset[Formula]] = set()
-    union: list[World] = []
-    for w in worlds:
-        sat = frozenset(f for f in formulas if evaluate(f, w))
-        n = len(sat)
-        if n > best:
-            best = n
-            subsets = {sat}
-            union = [w]
-        elif n == best:
-            subsets.add(sat)
-            union.append(w)
-    return SubsetAnalysis(frozenset(subsets), tuple(union))
+    index = worlds[0].signature.atom_index
+    words = pack((w.bits for w in worlds), len(index))
+    sat = np.zeros((len(worlds), len(formulas)), dtype=bool)
+    for j, f in enumerate(formulas):
+        sat[:, j] = truth(f, words, index)
+    n = sat.sum(axis=1)
+    rows = np.flatnonzero(n == n.max())
+    subsets = frozenset(frozenset(f for f, hold in zip(formulas, pattern) if hold)
+                        for pattern in set(map(tuple, sat[rows].tolist())))
+    return SubsetAnalysis(subsets, tuple(worlds[i] for i in rows.tolist()))
 
 
 def mcs(premises: Sequence[Formula], worlds: Sequence[World]) -> SubsetAnalysis:
@@ -465,8 +408,8 @@ def mcs(premises: Sequence[Formula], worlds: Sequence[World]) -> SubsetAnalysis:
     Consistency is judged against the given world list, normally the full
     enumeration. Every such subset is the satisfied set of some world of
     maximal satisfied count, so the union of the subsets' model sets is
-    exactly the worlds reported in ``union_models``. Duplicates among the
-    premises are collapsed: subsets are sets.
+    exactly the worlds reported in ``union_models``, in list order.
+    Duplicates among the premises are collapsed: subsets are sets.
     """
     return _maximal_subsets(premises, worlds)
 
@@ -498,16 +441,13 @@ def mle_distribution(data: Dataset, worlds: Sequence[World]) -> ModelDistributio
     weight zero. Weights are exact fractions.
     """
     worlds = tuple(worlds)
-    index: dict[int, int] = {}
-    for i, w in enumerate(worlds):
-        if w.bits in index:
-            raise ValueError("the worlds list repeats a world")
-        index[w.bits] = i
+    index = {w.bits: i for i, w in enumerate(worlds)}
+    if len(index) != len(worlds):
+        raise ValueError("the worlds list repeats a world")
     counts = [0] * len(worlds)
     for w, c in data.entries:
-        i = index.get(w.bits)
-        if i is None:
+        if w.bits not in index:
             raise ValueError(f"observed world {w!r} is missing from the worlds list")
-        counts[i] += c
+        counts[index[w.bits]] += c
     k = data.size
     return ModelDistribution(worlds, tuple(Fraction(c, k) for c in counts))

@@ -153,20 +153,11 @@ def split_dataset(data: Dataset):
     pixels is (n, 784) bool, labels and counts are (n,) int64; each entry
     must set exactly one digit atom.
     """
-    n = len(data.entries)
-    pixels = np.zeros((n, N_PIXELS), dtype=bool)
-    labels = np.zeros(n, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    pixel_mask = (1 << N_PIXELS) - 1
-    for i, (w, c) in enumerate(data.entries):
-        label_bits = w.bits >> N_PIXELS
-        if label_bits.bit_count() != 1:
-            raise ValueError("each observation must set exactly one digit atom")
-        labels[i] = label_bits.bit_length() - 1
-        raw = (w.bits & pixel_mask).to_bytes(N_PIXELS // 8, "little")
-        pixels[i] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        counts[i] = c
-    return pixels, labels, counts
+    bits = np.unpackbits(data.words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    digits = bits[:, N_PIXELS:]
+    if (digits.sum(axis=1) != 1).any():
+        raise ValueError("each observation must set exactly one digit atom")
+    return bits[:, :N_PIXELS].view(bool), digits.argmax(axis=1), data.masses.astype(np.int64)
 
 
 def _class_mean(pixels, labels, counts, digit: int) -> np.ndarray:

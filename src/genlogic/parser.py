@@ -247,20 +247,11 @@ def parse_query(text: str, sig: Signature) -> tuple[Formula, tuple[Formula, ...]
     premise list, so a disjunction in the conclusion must be parenthesized;
     later bars belong to the premises as ordinary disjunctions.
     """
-    depth = 0
-    split_at = None
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "|" and depth == 0:
-            split_at = i
-            break
-    if split_at is None:
+    head, *rest = _split_top(text, "|")
+    if not rest:
         return parse_formula(text, sig), ()
-    conclusion = parse_formula(text[:split_at], sig)
+    conclusion = parse_formula(head, sig)
     premises = tuple(
-        parse_formula(part, sig) for part in _split_top(text[split_at + 1 :], ";")
+        parse_formula(part, sig) for part in _split_top(text[len(head) + 1 :], ";")
     )
     return conclusion, premises

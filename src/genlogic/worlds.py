@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .formulas import And, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or
 from .signature import Signature
 
@@ -16,7 +18,7 @@ class TooManyAtoms(ValueError):
     """
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class World:
     """One truth assignment; bit j of ``bits`` is ground atom j."""
 
@@ -90,14 +92,11 @@ def enumerate_worlds(sig: Signature, cap: int = 20) -> list[World]:
     n = sig.n_atoms
     if n > cap:
         raise TooManyAtoms(f"{n} atoms exceeds the enumeration cap of {cap}")
-    out = []
-    for k in range(1 << n):
-        bits = 0
-        for j in range(n):
-            if k >> (n - 1 - j) & 1:
-                bits |= 1 << j
-        out.append(World(sig, bits))
-    return out
+    k = np.arange(1 << n)
+    bits = np.zeros_like(k)
+    for j in range(n):
+        bits |= (k >> (n - 1 - j) & 1) << j
+    return [World(sig, b) for b in bits.tolist()]
 
 
 def evaluate(f: Formula, w: World) -> bool:
@@ -118,6 +117,45 @@ def evaluate(f: Formula, w: World) -> bool:
             return (not evaluate(l, w)) or evaluate(r, w)
         case Iff(l, r):
             return evaluate(l, w) == evaluate(r, w)
+        case Forall() | Exists():
+            raise ValueError("quantified formulas must be grounded before evaluation")
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def pack(bits, n_atoms: int) -> np.ndarray:
+    """World bit integers as a uint64 word matrix, shape (n, ceil(n_atoms / 64)).
+
+    Word k of a row holds atoms 64k..64k+63, the lowest atom in its lowest bit.
+    """
+    if n_atoms <= 64:
+        return np.fromiter(bits, dtype=np.uint64).reshape(-1, 1)
+    n_words = -(-n_atoms // 64)
+    raw = b"".join(b.to_bytes(8 * n_words, "little") for b in bits)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, n_words)
+
+
+def truth(f: Formula, words: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """evaluate() at every row of a packed word matrix: one bool per row.
+
+    Both sides of every connective are evaluated, so an unknown atom raises
+    even where evaluate() would have short-circuited past it.
+    """
+    match f:
+        case Atom() as a:
+            j = index.get(a.key())
+            if j is None:
+                raise ValueError(f"atom {a.key()!r} is not in the signature")
+            return (words[:, j >> 6] >> (j & 63) & 1).astype(bool)
+        case Not(body):
+            return ~truth(body, words, index)
+        case And(l, r):
+            return truth(l, words, index) & truth(r, words, index)
+        case Or(l, r):
+            return truth(l, words, index) | truth(r, words, index)
+        case Implies(l, r):
+            return ~truth(l, words, index) | truth(r, words, index)
+        case Iff(l, r):
+            return truth(l, words, index) == truth(r, words, index)
         case Forall() | Exists():
             raise ValueError("quantified formulas must be grounded before evaluation")
     raise TypeError(f"not a formula: {f!r}")

@@ -115,6 +115,8 @@ def test_model_distribution_validation(rain_sig):
         ModelDistribution(ws, (Fraction(1, 2), 0, 0, 0))
     with pytest.raises(ValueError, match="negative"):
         ModelDistribution(ws, (Fraction(3, 2), Fraction(-1, 2), 0, 0))
+    with pytest.raises(ValueError, match="nan"):
+        ModelDistribution(ws, (float("nan"), 1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="length"):
         ModelDistribution(ws, (Fraction(1),))
     # float weights get a tolerance
