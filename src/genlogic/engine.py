@@ -26,15 +26,18 @@ words, and the conditional family (``cond_prob``, ``prob``, ``joint_prob``,
 satisfied conclusions) under one per-score weight table. Exact results equal
 a per-world sum. Float posteriors are summed left to right in world order,
 bit-identical to a per-world loop; float conditionals come from the histogram
-and may differ from a per-world sum by rounding only. ``update`` folds in
-one world at a time.
+and may differ from a per-world sum by rounding only. A streaming estimate
+keeps that histogram as integer counts: ``update`` scores one world and
+raises one count, and the value is the same reduction, so it equals a full
+recompute in every regime, floats included.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -121,7 +124,9 @@ def _scores(formulas, words: np.ndarray, index) -> np.ndarray:
         else:
             masks.setdefault(k, [0, 0])[negated] |= 1 << j
     for k, (pos, neg) in masks.items():
-        pos, neg = pack((pos, neg), 64 * words.shape[1])
+        # each mask as one row of words, atom 64k + b at bit b of word k
+        pos, neg = (np.frombuffer(m.to_bytes(8 * words.shape[1], "little"), dtype="<u8")
+                    .astype(np.uint64) for m in (pos, neg))
         hits = np.bitwise_count(words & pos) + np.bitwise_count(~words & neg)
         s += k * hits.sum(axis=1, dtype=np.int64)
     return s
@@ -172,20 +177,13 @@ def _factors(regime: Regime, k: int) -> list:
     return [mu**c * (1 - mu) ** (k - c) for c in range(k + 1)]
 
 
-def _factor(f: Formula, world: World, regime: Regime):
-    sat = evaluate(f, world)
-    if regime.kind == "fixed":
-        return regime.mu if sat else 1 - regime.mu
-    return 1 if sat else 0
-
-
-def _conditional(conclusions, premises, source, regime):
-    """Shared kernel: p(all conclusions | premises) under the regime."""
-    hist = _histogram(premises, conclusions, source)
+def _reduce(hist, regime: Regime):
+    """p(all conclusions | premises) from a histogram of mass by (premise
+    score, satisfied conclusion count), under the regime."""
     rows = [sum(row) for row in hist]
     live = [s for s, m in enumerate(rows) if m > 0]
-    weights = _weights(regime, len(premises), live[0], live[-1])
-    factors = _factors(regime, len(conclusions))
+    weights = _weights(regime, len(hist) - 1, live[0], live[-1])
+    factors = _factors(regime, len(hist[0]) - 1)
     den = sum(w * m for w, m in zip(weights, rows))
     if den == 0:
         return UNDEFINED
@@ -200,7 +198,7 @@ def prob(alpha: Formula, source, regime: Regime = LIMIT_ONE):
     models; under fixed(mu) the Bernoulli factor blends both sides,
     mu*mass + (1-mu)*(1-mass).
     """
-    return _conditional((alpha,), (), source, regime)
+    return _reduce(_histogram((), (alpha,), source), regime)
 
 
 def joint_prob(formulas: Sequence[Formula], source, regime: Regime = LIMIT_ONE):
@@ -209,7 +207,7 @@ def joint_prob(formulas: Sequence[Formula], source, regime: Regime = LIMIT_ONE):
     Each occurrence contributes its own likelihood factor, so duplicates
     matter under fixed(mu).
     """
-    return _conditional(tuple(formulas), (), source, regime)
+    return _reduce(_histogram((), tuple(formulas), source), regime)
 
 
 def cond_prob(query: Query, source, regime: Regime = LIMIT_ONE):
@@ -221,12 +219,12 @@ def cond_prob(query: Query, source, regime: Regime = LIMIT_ONE):
     premise score and conclusion count, so it may differ from a per-world
     sum by rounding only.
     """
-    return _conditional((query.conclusion,), tuple(query.premises), source, regime)
+    return _reduce(_histogram(tuple(query.premises), (query.conclusion,), source), regime)
 
 
 def cond_prob_multi(conclusions, premises, source, regime: Regime = LIMIT_ONE):
     """Joint conditional over a conclusion multiset; cond_prob generalized."""
-    return _conditional(tuple(conclusions), tuple(premises), source, regime)
+    return _reduce(_histogram(tuple(premises), tuple(conclusions), source), regime)
 
 
 def _posterior(premises, source, regime, weighted: bool):
@@ -286,77 +284,51 @@ def posterior_models(premises: Sequence[Formula], dist: ModelDistribution,
 
 @dataclass(frozen=True)
 class RunningEstimate:
-    """Constant-time streaming estimate of a (conditional) probability.
+    """Streaming estimate of a (conditional) probability on a growing dataset.
 
-    ``value`` is the current estimate after ``count`` observations and
-    ``premise_value`` the current probability of the premise multiset (None
-    for unconditional targets). The limit regime additionally carries the
-    best premise score seen so far and the observation tallies at that
-    score, which its max-score semantics needs in order to stay exactly
-    equal to a full recompute.
+    ``counts`` holds the observations by premise score s and by whether alpha
+    holds (a = 0 or 1), at index 2*s + a: the histogram that cond_prob
+    reduces, kept as integers. ``value`` is that reduction, computed on first
+    read, so it equals a full recompute over the same observations in every
+    regime, float fixed(mu) included.
     """
 
     alpha: Formula
     premises: tuple[Formula, ...]
     regime: Regime
-    count: int
-    value: object
-    premise_value: object = None
-    best: tuple[int, int, int] | None = None  # (score, tally there, alpha tally there)
+    counts: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        """How many observations the estimate has seen."""
+        return sum(self.counts)
+
+    @cached_property
+    def value(self):
+        c = self.counts
+        return _reduce([c[i:i + 2] for i in range(0, len(c), 2)], self.regime)
 
 
 def running_estimate(alpha: Formula, data: Dataset, regime: Regime = LIMIT_ONE,
                      premises: Sequence[Formula] = ()) -> RunningEstimate:
-    """Initialize a streaming estimate from all-worlds passes over the data."""
+    """Start a streaming estimate from one histogram pass over the data."""
+    if not isinstance(data, Dataset):
+        raise TypeError("a running estimate starts from a Dataset")
     premises = tuple(premises)
-    k = data.size
-    if not premises:
-        return RunningEstimate(alpha, (), regime, k, prob(alpha, data, regime))
-    value = cond_prob(Query(alpha, premises), data, regime)
-    premise_value = joint_prob(premises, data, ONE if regime.kind == "limit" else regime)
-    if regime.kind != "limit":
-        return RunningEstimate(alpha, premises, regime, k, value, premise_value)
     hist = _histogram(premises, (alpha,), data)
-    s_best = max(s for s, row in enumerate(hist) if sum(row))
-    return RunningEstimate(alpha, premises, regime, k, value, premise_value,
-                           best=(s_best, sum(hist[s_best]), hist[s_best][1]))
+    return RunningEstimate(alpha, premises, regime, tuple(m for row in hist for m in row))
 
 
 def update(est: RunningEstimate, world: World) -> RunningEstimate:
-    """Fold one new observation into the estimate in O(1).
+    """Fold one new observation into the estimate in O(#premises).
 
-    Under integer or Fraction arithmetic (ONE, LIMIT_ONE, a Fraction mu) the
-    result equals a full recompute over the extended data exactly; under a
-    float fixed(mu) only up to rounding, which can build up over updates.
+    Scores the world and returns a new estimate with that one count raised;
+    ``est`` itself does not change.
     """
-    k = est.count
-    regime = est.regime
-    if not est.premises:
-        f = _factor(est.alpha, world, regime)
-        value = _ratio(k * est.value + f, k + 1)
-        return replace(est, count=k + 1, value=value)
-    if regime.kind == "limit":
-        s_best, den, num = est.best
-        s = sum(1 for p in est.premises if evaluate(p, world))
-        a = 1 if evaluate(est.alpha, world) else 0
-        if s > s_best:
-            s_best, den, num = s, 1, a
-        elif s == s_best:
-            den += 1
-            num += a
-        premise_value = Fraction(den if s_best == len(est.premises) else 0, k + 1)
-        return replace(est, count=k + 1, value=Fraction(num, den),
-                       premise_value=premise_value, best=(s_best, den, num))
-    fa = _factor(est.alpha, world, regime)
-    fd = 1
-    for p in est.premises:
-        fd = fd * _factor(p, world, regime)
-    prem = est.premise_value
-    old_joint = 0 if est.value is UNDEFINED else est.value * prem
-    new_joint = _ratio(k * old_joint + fa * fd, k + 1)
-    new_prem = _ratio(k * prem + fd, k + 1)
-    value = UNDEFINED if new_prem == 0 else new_joint / new_prem
-    return replace(est, count=k + 1, value=value, premise_value=new_prem)
+    i = 2 * score(est.premises, world) + evaluate(est.alpha, world)
+    c = est.counts
+    return RunningEstimate(est.alpha, est.premises, est.regime,
+                           c[:i] + (c[i] + 1,) + c[i + 1:])
 
 
 def classical_entails(premises: Sequence[Formula], alpha: Formula,
@@ -366,15 +338,18 @@ def classical_entails(premises: Sequence[Formula], alpha: Formula,
     if not worlds:
         return True
     index = worlds[0].signature.atom_index
-    words = pack((w.bits for w in worlds), len(index))
-    hold = _scores(premises, words, index) == len(premises)
-    return not (hold & ~truth(alpha, words, index)).any()
+    return _entails(premises, alpha, pack((w.bits for w in worlds), len(index)), index)
 
 
 def possible_entails(premises: Sequence[Formula], alpha: Formula,
                      dist: ModelDistribution) -> bool:
     """classical_entails restricted to the distribution's possible worlds."""
-    return classical_entails(premises, alpha, dist.support())
+    return _entails(premises, alpha, dist.words[dist.positive], dist.signature.atom_index)
+
+
+def _entails(premises, alpha, words, index) -> bool:
+    hold = _scores(premises, words, index) == len(premises)
+    return not (hold & ~truth(alpha, words, index)).any()
 
 
 @dataclass(frozen=True)
@@ -385,21 +360,18 @@ class SubsetAnalysis:
     union_models: tuple[World, ...]
 
 
-def _maximal_subsets(premises, worlds) -> SubsetAnalysis:
+def _maximal_subsets(premises, words, index):
+    """The maximal satisfied premise sets over the rows of packed words, and
+    the rows that reach the maximal count."""
     formulas = list(dict.fromkeys(premises))  # set semantics
-    worlds = tuple(worlds)
-    if not worlds:
-        raise ValueError("no worlds to judge consistency against")
-    index = worlds[0].signature.atom_index
-    words = pack((w.bits for w in worlds), len(index))
-    sat = np.zeros((len(worlds), len(formulas)), dtype=bool)
+    sat = np.zeros((len(words), len(formulas)), dtype=bool)
     for j, f in enumerate(formulas):
         sat[:, j] = truth(f, words, index)
     n = sat.sum(axis=1)
     rows = np.flatnonzero(n == n.max())
     subsets = frozenset(frozenset(f for f, hold in zip(formulas, pattern) if hold)
                         for pattern in set(map(tuple, sat[rows].tolist())))
-    return SubsetAnalysis(subsets, tuple(worlds[i] for i in rows.tolist()))
+    return subsets, rows
 
 
 def mcs(premises: Sequence[Formula], worlds: Sequence[World]) -> SubsetAnalysis:
@@ -411,12 +383,19 @@ def mcs(premises: Sequence[Formula], worlds: Sequence[World]) -> SubsetAnalysis:
     exactly the worlds reported in ``union_models``, in list order.
     Duplicates among the premises are collapsed: subsets are sets.
     """
-    return _maximal_subsets(premises, worlds)
+    worlds = tuple(worlds)
+    if not worlds:
+        raise ValueError("no worlds to judge consistency against")
+    index = worlds[0].signature.atom_index
+    subsets, rows = _maximal_subsets(premises, pack((w.bits for w in worlds), len(index)), index)
+    return SubsetAnalysis(subsets, tuple([worlds[i] for i in rows.tolist()]))
 
 
 def mps(premises: Sequence[Formula], dist: ModelDistribution) -> SubsetAnalysis:
     """Like mcs, but consistency is judged over the possible worlds only."""
-    return _maximal_subsets(premises, dist.support())
+    live = np.flatnonzero(dist.positive)
+    subsets, rows = _maximal_subsets(premises, dist.words[live], dist.signature.atom_index)
+    return SubsetAnalysis(subsets, tuple([dist.worlds[i] for i in live[rows].tolist()]))
 
 
 def generative_consequence(query: Query, source, theta,

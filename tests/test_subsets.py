@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+import genlogic.engine
 from genlogic import (
     LIMIT_ONE,
     ONE,
@@ -93,6 +94,29 @@ def test_limit_prob_is_mass_ratio_over_possible_subsets():
             if w in pocket and evaluate(alpha, w)
         )
         assert cond_prob(Query(alpha, prem), dist, LIMIT_ONE) == num / den
+
+
+def test_mps_and_possible_entails_read_the_cached_words(monkeypatch):
+    # both answer from dist.words, never packing the support again
+    rng = Random(209)
+    cases = []
+    for _ in range(CASES):
+        sig = random_signature(rng)
+        prem = random_distinct_premises(rng, sig)
+        dist = random_distribution(rng, sig)
+        alpha = random_formula(rng, sig)
+        cases.append((prem, dist, alpha, mps_bruteforce(prem, dist),
+                      classical_entails(prem, alpha, dist.support())))
+
+    def no_pack(*args):
+        raise AssertionError("pack called")
+
+    monkeypatch.setattr(genlogic.engine, "pack", no_pack)
+    for prem, dist, alpha, want_mps, want_entails in cases:
+        got = mps(prem, dist)
+        assert _same_analysis(got, want_mps)
+        assert list(got.union_models) == [w for w in dist.support() if w in want_mps.union_models]
+        assert possible_entails(prem, alpha, dist) == want_entails
 
 
 def test_certainty_iff_classical_entailment():
