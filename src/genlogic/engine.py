@@ -27,15 +27,17 @@ satisfied conclusions) under one per-score weight table. Exact results equal
 a per-world sum. Float posteriors are summed left to right in world order,
 bit-identical to a per-world loop; float conditionals come from the histogram
 and may differ from a per-world sum by rounding only. A streaming estimate
-keeps that histogram as integer counts: ``update`` scores one world and
-raises one count, and the value is the same reduction, so it equals a full
-recompute in every regime, floats included.
+keeps that histogram as integer counts. Its formulas are compiled once into
+a function of a world's bits, ``update`` runs that function on one world
+and raises one count, and a world over another signature is rejected. The
+value is the same reduction, so it equals a full recompute in every regime,
+floats included.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -44,7 +46,8 @@ import numpy as np
 
 from .data import Dataset, ModelDistribution
 from .formulas import Atom, Formula, Not
-from .worlds import World, evaluate, pack, truth
+from .signature import Signature
+from .worlds import World, compile_formula, evaluate, pack, truth
 
 
 class Undefined:
@@ -290,13 +293,15 @@ class RunningEstimate:
     holds (a = 0 or 1), at index 2*s + a: the histogram that cond_prob
     reduces, kept as integers. ``value`` is that reduction, computed on first
     read, so it equals a full recompute over the same observations in every
-    regime, float fixed(mu) included.
+    regime, float fixed(mu) included. ``signature`` is the dataset's, the one
+    every update must match; it takes no part in ``==`` or ``repr``.
     """
 
     alpha: Formula
     premises: tuple[Formula, ...]
     regime: Regime
     counts: tuple[int, ...]
+    signature: Signature = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -308,6 +313,25 @@ class RunningEstimate:
         c = self.counts
         return _reduce([c[i:i + 2] for i in range(0, len(c), 2)], self.regime)
 
+    @cached_property
+    def cell(self):
+        """A world's bits -> its counts index 2*s + a, compiled once from alpha
+        and the premises. ``update`` hands it on to the new estimate; a pickle
+        leaves it out, and it is compiled again on first use."""
+        index = self.signature.atom_index
+        holds = compile_formula(self.alpha, index)
+        tests = tuple(compile_formula(f, index) for f in self.premises)
+
+        def cell(bits):
+            s = 0
+            for test in tests:
+                s += test(bits)
+            return 2 * s + holds(bits)
+        return cell
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "cell"}
+
 
 def running_estimate(alpha: Formula, data: Dataset, regime: Regime = LIMIT_ONE,
                      premises: Sequence[Formula] = ()) -> RunningEstimate:
@@ -316,19 +340,30 @@ def running_estimate(alpha: Formula, data: Dataset, regime: Regime = LIMIT_ONE,
         raise TypeError("a running estimate starts from a Dataset")
     premises = tuple(premises)
     hist = _histogram(premises, (alpha,), data)
-    return RunningEstimate(alpha, premises, regime, tuple(m for row in hist for m in row))
+    est = RunningEstimate(alpha, premises, regime, tuple(m for row in hist for m in row),
+                          data.signature)
+    est.cell  # compiled once, here, and handed on by every update
+    return est
 
 
 def update(est: RunningEstimate, world: World) -> RunningEstimate:
     """Fold one new observation into the estimate in O(#premises).
 
-    Scores the world and returns a new estimate with that one count raised;
-    ``est`` itself does not change.
+    Runs the estimate's compiled cell on the world's bits and returns a new
+    estimate with that one count raised, sharing the cell; ``est`` itself
+    does not change. A world over another signature is rejected, as the
+    extended dataset would reject it.
     """
-    i = 2 * score(est.premises, world) + evaluate(est.alpha, world)
+    sig = est.signature
+    if not (world.signature is sig or world.signature == sig):
+        raise ValueError("dataset entries mix signatures")
+    cell = est.cell
+    i = cell(world.bits)
     c = est.counts
-    return RunningEstimate(est.alpha, est.premises, est.regime,
-                           c[:i] + (c[i] + 1,) + c[i + 1:])
+    new = RunningEstimate(est.alpha, est.premises, est.regime,
+                          c[:i] + (c[i] + 1,) + c[i + 1:], sig)
+    new.__dict__["cell"] = cell  # the cached_property's slot
+    return new
 
 
 def classical_entails(premises: Sequence[Formula], alpha: Formula,

@@ -122,6 +122,40 @@ def evaluate(f: Formula, w: World) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def compile_formula(f: Formula, index: dict[str, int]):
+    """evaluate() compiled once for an atom index: a function of a world's
+    ``bits`` that gives the formula's truth there, as a bool or a 0/1 int.
+
+    Atom indices are resolved here, so the errors truth() raises (an unknown
+    atom on either side of a connective, a quantifier, not a formula) are
+    raised at compile time. The function short-circuits as evaluate() does.
+    """
+    match f:
+        case Atom() as a:
+            j = index.get(a.key())
+            if j is None:
+                raise ValueError(f"atom {a.key()!r} is not in the signature")
+            return lambda b: b >> j & 1
+        case Not(body):
+            g = compile_formula(body, index)
+            return lambda b: not g(b)
+        case And(l, r):
+            g, h = compile_formula(l, index), compile_formula(r, index)
+            return lambda b: g(b) and h(b)
+        case Or(l, r):
+            g, h = compile_formula(l, index), compile_formula(r, index)
+            return lambda b: g(b) or h(b)
+        case Implies(l, r):
+            g, h = compile_formula(l, index), compile_formula(r, index)
+            return lambda b: (not g(b)) or h(b)
+        case Iff(l, r):
+            g, h = compile_formula(l, index), compile_formula(r, index)
+            return lambda b: g(b) == h(b)
+        case Forall() | Exists():
+            raise ValueError("quantified formulas must be grounded before evaluation")
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def pack(bits, n_atoms: int) -> np.ndarray:
     """World bit integers as a uint64 word matrix, shape (n, ceil(n_atoms / 64)).
 

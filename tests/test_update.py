@@ -1,10 +1,11 @@
 """Streaming updates must agree exactly with full recomputes."""
 
+import pickle
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
@@ -15,12 +16,15 @@ from genlogic import (
     And,
     Atom,
     Dataset,
+    Exists,
+    Forall,
     Iff,
     Implies,
     Not,
     Or,
     Query,
     Signature,
+    Var,
     World,
     cond_prob,
     enumerate_worlds,
@@ -30,6 +34,8 @@ from genlogic import (
     running_estimate,
     update,
 )
+from genlogic import engine
+from genlogic.worlds import compile_formula, evaluate, pack, truth
 
 from helpers import (
     random_dataset,
@@ -235,3 +241,95 @@ class StreamingMatchesRecompute(RuleBasedStateMachine):
 StreamingMatchesRecompute.TestCase.settings = settings(
     max_examples=60, stateful_step_count=20, deadline=None)
 test_streaming_matches_recompute = StreamingMatchesRecompute.TestCase
+
+
+_SIGS_UP_TO_5 = [Signature(propositions=tuple(f"a{i}" for i in range(n))) for n in range(1, 6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_formula_matches_evaluate(data):
+    sig = data.draw(st.sampled_from(_SIGS_UP_TO_5))
+    f = data.draw(_formulas(sig))
+    compiled = compile_formula(f, sig.atom_index)
+    for w in enumerate_worlds(sig):
+        got = compiled(w.bits)
+        assert got in (0, 1) and got == evaluate(f, w)
+
+
+def test_compile_raises_what_truth_raises():
+    sig = Signature(propositions=("p", "q"), predicates=(("b", 1),), constants=("c",))
+    index = sig.atom_index
+    words = pack(range(1 << sig.n_atoms), sig.n_atoms)
+    p, zap = Atom("p"), Atom("zap")
+    x = Atom("b", (Var("x"),))
+    # an unknown atom where evaluate() would short-circuit past it raises too
+    bad = (zap, Not(zap), Or(p, zap), And(Not(p), zap), Implies(zap, p), Iff(p, zap),
+           x, Forall("x", x), Exists("x", x), Not(Exists("x", x)), "p", Not(None))
+    for f in bad:
+        with pytest.raises((ValueError, TypeError)) as want:
+            truth(f, words, index)
+        with pytest.raises(want.type) as got:
+            compile_formula(f, index)
+        assert str(got.value) == str(want.value)
+
+
+def test_update_compiles_instead_of_evaluating(monkeypatch):
+    # update runs the estimate's compiled cell: no evaluate() or score() call
+    def refuse(*args):
+        raise AssertionError("formula evaluated per update")
+
+    monkeypatch.setattr(engine, "evaluate", refuse)
+    monkeypatch.setattr(engine, "score", refuse)
+    rng = Random(305)
+    for _ in range(60):
+        sig = random_signature(rng)
+        data = random_dataset(rng, sig)
+        alpha = random_formula(rng, sig)
+        prem = random_premises(rng, sig)
+        worlds = enumerate_worlds(sig)
+        for regime in (ONE, LIMIT_ONE, fixed(Fraction(4, 5)), fixed(0.8)):
+            for given_ in ((), prem):
+                est, extended = running_estimate(alpha, data, regime, given_), data
+                for _ in range(rng.randint(1, 4)):
+                    w = rng.choice(worlds)
+                    est, extended = update(est, w), extended.extended(w)
+                want = (cond_prob(Query(alpha, given_), extended, regime) if given_
+                        else prob(alpha, extended, regime))
+                assert est.count == extended.size
+                assert est.value == want  # UNDEFINED is UNDEFINED only
+
+
+def test_update_rejects_a_world_from_another_signature(rain_sig, rain_data):
+    est = running_estimate(parse_formula("wet", rain_sig), rain_data, ONE)
+    for sig in (Signature(propositions=("rain", "wet", "c")),
+                Signature(propositions=("wet", "rain"))):
+        with pytest.raises(ValueError, match="mix signatures"):
+            rain_data.extended(World(sig, 2))
+        with pytest.raises(ValueError, match="mix signatures"):
+            update(est, World(sig, 2))
+    # an equal signature built separately is the same signature
+    same = World(Signature(propositions=("rain", "wet")), 3)
+    assert update(est, same).value == Fraction(6, 11)
+
+
+def test_estimate_pickles_and_keeps_updating():
+    rng = Random(306)
+    sig = Signature(propositions=tuple(f"s{i}" for i in range(6)))
+    alpha, *premises = (parse_formula(text, sig) for text in
+                        ("s0 | ~s1", "s1", "s2 -> s3", "s1"))
+    data = Dataset.weighted((World(sig, rng.getrandbits(6)), rng.randint(1, 3))
+                            for _ in range(20))
+    stream = [World(sig, rng.getrandbits(6)) for _ in range(60)]
+    for regime in (ONE, LIMIT_ONE, fixed(Fraction(3, 4)), fixed(0.75)):
+        est = running_estimate(alpha, data, regime, premises)
+        for w in stream[:30]:
+            est = update(est, w)
+        est.value  # a cached value pickles with the estimate
+        thawed = pickle.loads(pickle.dumps(est))
+        assert thawed == est and repr(thawed) == repr(est)
+        assert thawed.signature == sig and thawed.value == est.value
+        for w in stream[30:]:
+            est, thawed = update(est, w), update(thawed, w)
+        assert thawed.counts == est.counts and thawed.value == est.value
+        assert thawed == est
