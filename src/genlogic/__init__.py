@@ -31,7 +31,6 @@ from .engine import (
     possible_entails,
     prob,
     running_estimate,
-    score,
     update,
 )
 from .formulas import (
@@ -53,7 +52,7 @@ from .formulas import (
 )
 from .parser import ParseError, parse_formula, parse_premises, parse_query
 from .signature import Signature
-from .worlds import TooManyAtoms, World, enumerate_worlds, evaluate, models_of
+from .worlds import TooManyAtoms, World, enumerate_worlds, evaluate
 
 __version__ = "0.1.0"
 
@@ -65,8 +64,8 @@ __all__ = [
     "classical_entails", "cond_prob", "cond_prob_multi", "dataset_from_csv",
     "distribution_from_text", "enumerate_worlds", "evaluate", "fixed",
     "generative_consequence", "ground", "is_ground", "joint_prob", "mcs",
-    "mle_distribution", "models_of", "mps", "parse_formula", "parse_premises",
+    "mle_distribution", "mps", "parse_formula", "parse_premises",
     "parse_query", "posterior_data", "posterior_models", "possible_entails",
     "pretty", "prob", "read_dataset_csv", "read_distribution",
-    "running_estimate", "score", "substitute", "update",
+    "running_estimate", "substitute", "update",
 ]

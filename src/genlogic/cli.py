@@ -67,7 +67,8 @@ def _add_regime_flags(cmd: argparse.ArgumentParser) -> None:
     group.add_argument("--limit", action="store_true",
                        help="limit semantics: best-matching worlds (default)")
     group.add_argument("--mu", metavar="V",
-                       help="explicit likelihood parameter in (0,1); 1 means --one")
+                       help="explicit likelihood parameter in (0,1); 1 means --one; "
+                            "mnist curve takes a comma list")
 
 
 def _add_numeric_flags(cmd: argparse.ArgumentParser, exact_default: bool) -> None:
@@ -84,17 +85,20 @@ def _resolve_regime(args, default: Regime) -> Regime:
         return ONE
     if args.limit:
         return LIMIT_ONE
-    if args.mu is None:
-        return default
+    return default if args.mu is None else _mu_regime(args.mu, args.exact)
+
+
+def _mu_regime(text: str, exact: bool) -> Regime:
+    """One --mu value: ONE at 1, else fixed(mu), a Fraction when exact."""
     try:
-        mu = Fraction(args.mu)
+        mu = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--mu expects a number, got {args.mu!r}") from None
+        raise UsageError(f"--mu expects a number, got {text!r}") from None
     if mu == 1:
         return ONE
     if not 0 < mu < 1:
         raise UsageError("--mu must lie in (0,1], e.g. 0.8 or 4/5")
-    return fixed(mu if args.exact else float(mu))
+    return fixed(mu if exact else float(mu))
 
 
 def _load_signature(args) -> Signature:
@@ -215,15 +219,13 @@ def cmd_mnist(args) -> int:
                 print(f"d{digit} {_show(p, args.exact)}")
         return 0
 
-    # curve
-    regime = _resolve_regime(args, LIMIT_ONE)
-    if regime.kind == "one":
+    # curve: the limit predictor plus a fixed-mu predictor per --mu item
+    items = ["4/5"] if args.mu is None else args.mu.split(",")
+    regimes = [ONE] if args.one else [_mu_regime(item, args.exact) for item in items]
+    if ONE in regimes:
         raise UsageError("the curve needs --limit or --mu, not --one")
-    if regime.kind == "fixed":
-        mus = (regime.mu,)
-    else:
-        mus = (Fraction(4, 5) if args.exact else 0.8,)
-    learning_curve(train, test, sizes=_int_list(args.sizes), mus=mus,
+    learning_curve(train, test, sizes=_int_list(args.sizes),
+                   mus=tuple(r.mu for r in regimes),
                    include_limit=True, ks=_int_list(args.k),
                    threshold=args.threshold, test_size=args.test,
                    out_dir=out_dir)

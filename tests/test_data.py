@@ -126,6 +126,6 @@ def test_model_distribution_validation(rain_sig):
 
 
 def test_support_and_all_positive(gap_dist, fig_dist):
-    assert not gap_dist.all_positive
-    assert fig_dist.all_positive
+    assert not gap_dist.positive.all()
+    assert fig_dist.positive.all()
     assert [w.bitstring() for w in gap_dist.support()] == ["00", "10", "11"]

@@ -13,6 +13,7 @@ from genlogic import (
     classical_entails,
     cond_prob,
     cond_prob_multi,
+    evaluate,
     fixed,
     generative_consequence,
     ground,
@@ -24,7 +25,6 @@ from genlogic import (
     posterior_data,
     posterior_models,
     prob,
-    score,
 )
 
 
@@ -62,9 +62,9 @@ def test_undefined_is_not_boolean():
 
 def test_score_counts_satisfied_premises(rain_sig, rain_worlds):
     prem = [parse_formula(s, rain_sig) for s in ("rain", "wet", "rain -> wet")]
-    assert [score(prem, w) for w in rain_worlds] == [1, 2, 1, 3]
+    assert [sum(evaluate(f, w) for f in prem) for w in rain_worlds] == [1, 2, 1, 3]
     # duplicates count twice
-    assert score(prem + [prem[0]], rain_worlds[3]) == 4
+    assert sum(evaluate(f, rain_worlds[3]) for f in prem + [prem[0]]) == 4
 
 
 # -- golden queries ----------------------------------------------------------

@@ -15,7 +15,6 @@ from genlogic.mnist import (
     binarize,
     digit_signature,
     generate_all,
-    generate_digit,
     hamming_matrix,
     image_dataset,
     knn_scores,
@@ -26,7 +25,6 @@ from genlogic.mnist import (
     locate_idx_files,
     pixel_premises,
     predict_digit,
-    roc_auc,
     roc_curve,
     split_dataset,
     write_idx,
@@ -157,7 +155,7 @@ def test_generate_digit_matches_engine(small_sets):
     # to the last bit: both are one float division of the same two integers
     train, _ = small_sets
     data = image_dataset(train)
-    fast = generate_digit(data, digit=3)
+    fast = generate_all(data)[3]
     d3 = Atom("d3")
     for j in (0, 200, 391, 783):
         slow = cond_prob(Query(Atom(f"p{j}"), (d3,)), data, LIMIT_ONE)
@@ -169,8 +167,6 @@ def test_generate_all_shape_and_consistency(small_sets):
     data = image_dataset(train)
     grid = generate_all(data)
     assert grid.shape == (10, 784)
-    for d in (0, 7):
-        assert np.array_equal(grid[d], generate_digit(data, d))
     assert ((0.0 <= grid) & (grid <= 1.0)).all()
 
 
@@ -181,7 +177,7 @@ def test_generate_digit_is_class_mean(small_sets):
     for d in range(10):
         mask = train.labels == d
         mean = bits[mask].mean(axis=0)
-        assert np.array_equal(generate_digit(data, d), mean)
+        assert np.array_equal(generate_all(data)[d], mean)
 
 
 def test_write_pgm(tmp_path):
@@ -364,7 +360,6 @@ def test_roc_golden():
     curve = roc_curve(scores, labels)
     assert curve.auc == 0.75
     assert curve.points[0] == (0.0, 0.0) and curve.points[-1] == (1.0, 1.0)
-    assert roc_auc(scores, labels) == 0.75
 
 
 def test_roc_ties_grouped():
@@ -378,8 +373,8 @@ def test_roc_monotone_invariance():
     rng = np.random.default_rng(3)
     scores = rng.random(50)
     labels = rng.random(50) < 0.4
-    a = roc_auc(scores, labels)
-    b = roc_auc(np.tanh(5 * scores), labels)
+    a = roc_curve(scores, labels).auc
+    b = roc_curve(np.tanh(5 * scores), labels).auc
     assert a == pytest.approx(b)
 
 
@@ -389,8 +384,8 @@ def test_roc_requires_both_classes():
 
 
 def test_perfect_and_inverted_auc():
-    assert roc_auc([0.9, 0.8, 0.2, 0.1], [True, True, False, False]) == 1.0
-    assert roc_auc([0.9, 0.8, 0.2, 0.1], [False, False, True, True]) == 0.0
+    assert roc_curve([0.9, 0.8, 0.2, 0.1], [True, True, False, False]).auc == 1.0
+    assert roc_curve([0.9, 0.8, 0.2, 0.1], [False, False, True, True]).auc == 0.0
 
 
 # -- the learning curve ----------------------------------------------------------

@@ -43,7 +43,6 @@ from genlogic import (
     posterior_models,
     possible_entails,
     read_distribution,
-    score,
 )
 from genlogic.oracle import (
     cond_bruteforce,
@@ -107,7 +106,7 @@ def _expected(query, dist, regime):
 
 def _likelihoods(premises, worlds, regime):
     """Per world: its premise likelihood in the regime, up to a common factor."""
-    scores = [score(premises, w) for w in worlds]
+    scores = [sum(evaluate(f, w) for f in premises) for w in worlds]
     n = len(premises)
     if regime is ONE:
         return [int(s == n) for s in scores]
@@ -282,7 +281,7 @@ def test_float_posteriors_sum_left_to_right():
     premises = (Atom("p"), Atom("q"), Not(Atom("q")))
     mu = 0.3
     r = (1 - mu) / mu
-    scores = [score(premises, w) for w in worlds]
+    scores = [sum(evaluate(f, w) for f in premises) for w in worlds]
     sel = [r ** (min(scores) - s) for s in scores]
     terms = [x * c for x, (_, c) in zip(sel, data.entries)]
     assert math.fsum(terms) != functools.reduce(operator.add, terms)

