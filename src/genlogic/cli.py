@@ -186,6 +186,16 @@ def cmd_entail(args) -> int:
 
 
 def cmd_mnist(args) -> int:
+    # flag values first: the load may write synthetic digits to disk
+    if args.task == "predict":
+        regime = _resolve_regime(args, LIMIT_ONE)
+    if args.task == "curve":
+        # the limit predictor plus a fixed-mu predictor per --mu item
+        items = ["4/5"] if args.mu is None else args.mu.split(",")
+        regimes = [ONE] if args.one else [_mu_regime(item, args.exact) for item in items]
+        if ONE in regimes:
+            raise UsageError("the curve needs --limit or --mu, not --one")
+        sizes, ks = _int_list(args.sizes), _int_list(args.k)
     train, test, synthetic = load_split(args.mnist_dir)
     if synthetic:
         print("note: no idx files found, using bundled synthetic digits",
@@ -206,7 +216,6 @@ def cmd_mnist(args) -> int:
     if args.task == "predict":
         if not 0 <= args.index < len(test):
             raise UsageError(f"--index must lie in 0..{len(test) - 1}")
-        regime = _resolve_regime(args, LIMIT_ONE)
         data = image_dataset(train, args.threshold)
         row = binarize(test.images[args.index : args.index + 1], args.threshold)
         bits = int.from_bytes(
@@ -219,14 +228,8 @@ def cmd_mnist(args) -> int:
                 print(f"d{digit} {_show(p, args.exact)}")
         return 0
 
-    # curve: the limit predictor plus a fixed-mu predictor per --mu item
-    items = ["4/5"] if args.mu is None else args.mu.split(",")
-    regimes = [ONE] if args.one else [_mu_regime(item, args.exact) for item in items]
-    if ONE in regimes:
-        raise UsageError("the curve needs --limit or --mu, not --one")
-    learning_curve(train, test, sizes=_int_list(args.sizes),
-                   mus=tuple(r.mu for r in regimes),
-                   include_limit=True, ks=_int_list(args.k),
+    learning_curve(train, test, sizes=sizes, mus=tuple(r.mu for r in regimes),
+                   include_limit=True, ks=ks,
                    threshold=args.threshold, test_size=args.test,
                    out_dir=out_dir)
     print(f"wrote {out_dir / 'learning_curve.csv'}")

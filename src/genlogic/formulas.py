@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .signature import Signature
 
@@ -51,27 +52,37 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
+    """Base of the four binary connectives; BINARY gives their syntax."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(Binary):
+    pass
+
+
+class Iff(Binary):
+    pass
+
+
+# The binary connectives: symbol, precedence (higher binds tighter) and
+# whether a chain groups to the right. The parser and pretty both read it.
+BINARY = {
+    Iff: ("<->", 1, True),
+    Implies: ("->", 2, True),
+    Or: ("|", 3, False),
+    And: ("&", 4, False),
+}
 
 
 @dataclass(frozen=True)
@@ -96,22 +107,12 @@ def substitute(f: Formula, var: str, value: Const) -> Formula:
             return Atom(name, new_args)
         case Not(body):
             return Not(substitute(body, var, value))
-        case And(left, right):
-            return And(substitute(left, var, value), substitute(right, var, value))
-        case Or(left, right):
-            return Or(substitute(left, var, value), substitute(right, var, value))
-        case Implies(left, right):
-            return Implies(substitute(left, var, value), substitute(right, var, value))
-        case Iff(left, right):
-            return Iff(substitute(left, var, value), substitute(right, var, value))
-        case Forall(v, body):
+        case Binary(l, r):
+            return type(f)(substitute(l, var, value), substitute(r, var, value))
+        case Forall(v, body) | Exists(v, body):
             if v == var:  # inner binder shadows
                 return f
-            return Forall(v, substitute(body, var, value))
-        case Exists(v, body):
-            if v == var:
-                return f
-            return Exists(v, substitute(body, var, value))
+            return type(f)(v, substitute(body, var, value))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -122,7 +123,7 @@ def is_ground(f: Formula) -> bool:
             return all(isinstance(t, Const) for t in args)
         case Not(body):
             return is_ground(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+        case Binary(l, r):
             return is_ground(l) and is_ground(r)
         case Forall() | Exists():
             return False
@@ -143,14 +144,8 @@ def ground(f: Formula, sig: Signature) -> Formula:
             return f
         case Not(body):
             return Not(ground(body, sig))
-        case And(l, r):
-            return And(ground(l, sig), ground(r, sig))
-        case Or(l, r):
-            return Or(ground(l, sig), ground(r, sig))
-        case Implies(l, r):
-            return Implies(ground(l, sig), ground(r, sig))
-        case Iff(l, r):
-            return Iff(ground(l, sig), ground(r, sig))
+        case Binary(l, r):
+            return type(f)(ground(l, sig), ground(r, sig))
         case Forall(var, body) | Exists(var, body):
             if not sig.constants:
                 raise ValueError(
@@ -159,38 +154,28 @@ def ground(f: Formula, sig: Signature) -> Formula:
             parts = [
                 ground(substitute(body, var, Const(c)), sig) for c in sig.constants
             ]
-            join = And if isinstance(f, Forall) else Or
-            out = parts[0]
-            for p in parts[1:]:
-                out = join(out, p)
-            return out
+            return reduce(And if isinstance(f, Forall) else Or, parts)
     raise TypeError(f"not a formula: {f!r}")
 
 
-# Precedence levels for rendering; higher binds tighter.
-_IFF, _IMP, _OR, _AND, _NEG, _ATOM = 1, 2, 3, 4, 5, 6
+_NEG = 5  # negation and quantifiers bind tighter than every BINARY entry
 
 
 def pretty(f: Formula, _level: int = 0) -> str:
     """Render in the concrete syntax; the output reparses to an equal tree."""
     match f:
         case Atom(name, args):
-            text = name if not args else f"{name}({','.join(t.name for t in args)})"
-            mine = _ATOM
+            return name if not args else f"{name}({','.join(t.name for t in args)})"
         case Not(body):
             text, mine = "~" + pretty(body, _NEG), _NEG
-        case And(l, r):
-            text, mine = f"{pretty(l, _AND)} & {pretty(r, _AND + 1)}", _AND
-        case Or(l, r):
-            text, mine = f"{pretty(l, _OR)} | {pretty(r, _OR + 1)}", _OR
-        case Implies(l, r):
-            text, mine = f"{pretty(l, _IMP + 1)} -> {pretty(r, _IMP)}", _IMP
-        case Iff(l, r):
-            text, mine = f"{pretty(l, _IFF + 1)} <-> {pretty(r, _IFF)}", _IFF
-        case Forall(var, body):
-            text, mine = f"forall {var}. {pretty(body, _NEG)}", _NEG
-        case Exists(var, body):
-            text, mine = f"exists {var}. {pretty(body, _NEG)}", _NEG
+        case Binary(l, r):
+            symbol, mine, groups_right = BINARY[type(f)]
+            # only the operand on the grouping side may repeat the connective bare
+            lo, ro = (mine + 1, mine) if groups_right else (mine, mine + 1)
+            text = f"{pretty(l, lo)} {symbol} {pretty(r, ro)}"
+        case Forall(var, body) | Exists(var, body):
+            word = "forall" if isinstance(f, Forall) else "exists"
+            text, mine = f"{word} {var}. {pretty(body, _NEG)}", _NEG
         case _:
             raise TypeError(f"not a formula: {f!r}")
     if mine < _level:

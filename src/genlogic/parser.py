@@ -1,29 +1,27 @@
-"""Recursive-descent parser for formulas and conditional query strings.
+"""Parser for formulas and conditional query strings.
 
-Grammar, loosest to tightest: ``<->`` and ``->`` are right associative,
-``|`` and ``&`` left associative, ``~`` and the quantifiers bind tightest.
-A quantifier body extends over one negation-level unit, so a conjunction
-under a quantifier needs parentheses: ``forall x. (p(x) & q)``.
+The binary connectives, their precedence and their grouping come from the
+one table ``formulas.BINARY``: ``<->`` binds loosest, then ``->`` (both
+group to the right), then ``|`` and ``&`` (both group to the left). The
+parser climbs that table by precedence (Pratt, 1973), collecting each run
+of one connective and folding it to its side. ``~`` and the quantifiers
+bind tightest; a quantifier body extends over one negation-level unit, so
+a conjunction under a quantifier needs parentheses: ``forall x. (p(x) & q)``.
+
+One regex reads the whole text into tokens, identifiers by
+``signature.NAME``. ``;`` is a token too, so a query's conclusion, its
+``|`` and its premises come from one token stream, and every
+``ParseError`` position counts from the start of the whole text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
 
-from .formulas import (
-    And,
-    Atom,
-    Const,
-    Exists,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Var,
-)
-from .signature import Signature
+from .formulas import BINARY, Atom, Const, Exists, Forall, Formula, Not, Or, Var
+from .signature import NAME, RESERVED, Signature
 
 
 class ParseError(ValueError):
@@ -41,50 +39,39 @@ class _Token:
     pos: int
 
 
-_PUNCT = (
-    ("<->", "IFF"),
-    ("->", "IMP"),
-    ("~", "NOT"),
-    ("&", "AND"),
-    ("|", "OR"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    (",", "COMMA"),
-    (".", "DOT"),
+# Token kinds of the other punctuation; a connective's kind is its symbol.
+_PUNCT = {"~": "NOT", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", ";": "SEMI"}
+_SYMBOLS = sorted([*_PUNCT, *(s for s, _, _ in BINARY.values())], key=len, reverse=True)
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<IDENT>{NAME})|(?P<PUNCT>{'|'.join(map(re.escape, _SYMBOLS))})"
+    r"|(?P<EOF>\Z)|(?P<BAD>.))",
+    re.DOTALL,
 )
+
+# symbol -> (node, precedence, groups_right), read from formulas.BINARY.
+_OPS = {symbol: (node, prec, right) for node, (symbol, prec, right) in BINARY.items()}
+# A query's conclusion ends at a top-level "|": its disjunctions need parentheses.
+_CONCLUSION = {symbol: op for symbol, op in _OPS.items() if op[0] is not Or}
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in ("forall", "exists") else "IDENT"
-            out.append(_Token(kind, word, i))
-            i = j
-            continue
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                out.append(_Token(kind, lit, i))
-                i += len(lit)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    out.append(_Token("EOF", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, pos = m[kind], m.start(kind)
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {word!r}", pos)
+        if kind == "PUNCT":
+            kind = _PUNCT.get(word, word)
+        elif word in RESERVED:
+            kind = word
+        out.append(_Token(kind, word, pos))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], sig: Signature):
-        self.tokens = tokens
+    def __init__(self, text: str, sig: Signature):
+        self.tokens = _tokenize(text)
         self.sig = sig
         self.i = 0
         self.scope: list[str] = []
@@ -92,63 +79,62 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.i]
 
-    def take(self, kind: str | None = None) -> _Token:
-        tok = self.tokens[self.i]
-        if kind is not None and tok.kind != kind:
-            what = tok.text if tok.text else "end of input"
-            raise ParseError(f"expected {kind}, found {what!r}", tok.pos)
+    def error(self, expected: str) -> ParseError:
+        tok = self.peek()
+        return ParseError(f"expected {expected}, found {tok.text or 'end of input'!r}",
+                          tok.pos)
+
+    def take(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise self.error(kind)
         self.i += 1
         return tok
 
-    def formula(self) -> Formula:
-        return self.iff()
+    def skip(self, kind: str) -> bool:
+        """Consume the next token when it has this kind."""
+        if self.tokens[self.i].kind != kind:
+            return False
+        self.i += 1
+        return True
 
-    def iff(self) -> Formula:
-        parts = [self.imp()]
-        while self.peek().kind == "IFF":
-            self.take()
-            parts.append(self.imp())
-        out = parts[-1]
-        for p in reversed(parts[:-1]):  # right associative
-            out = Iff(p, out)
+    def end(self, out):
+        tok = self.peek()
+        if tok.kind != "EOF":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return out
 
-    def imp(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "IMP":
-            self.take()
-            return Implies(left, self.imp())
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek().kind == "OR":
-            self.take()
-            out = Or(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
+    def formula(self, ops=_OPS, min_prec: int = 0) -> Formula:
+        """Operands joined by the connectives of ops that bind at least min_prec."""
         out = self.negation()
-        while self.peek().kind == "AND":
-            self.take()
-            out = And(out, self.negation())
+        while (kind := self.peek().kind) in ops and ops[kind][1] >= min_prec:
+            node, prec, groups_right = ops[kind]
+            parts = [out]
+            while self.skip(kind):
+                parts.append(self.formula(ops, prec + 1))
+            if groups_right:
+                out = reduce(lambda right, left: node(left, right), reversed(parts))
+            else:
+                out = reduce(node, parts)
         return out
+
+    def premises(self) -> tuple[Formula, ...]:
+        out = [self.formula()]
+        while self.skip("SEMI"):
+            out.append(self.formula())
+        return tuple(out)
 
     def negation(self) -> Formula:
-        if self.peek().kind == "NOT":
-            self.take()
-            return Not(self.negation())
-        return self.atom_term()
-
-    def atom_term(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "LPAREN":
-            self.take()
+        if tok.kind == "IDENT":
+            return self.atom()
+        if self.skip("NOT"):
+            return Not(self.negation())
+        if self.skip("LPAREN"):
             out = self.formula()
             self.take("RPAREN")
             return out
-        if tok.kind in ("forall", "exists"):
-            self.take()
+        if self.skip("forall") or self.skip("exists"):
             var = self.take("IDENT")
             self.take("DOT")
             self.scope.append(var.text)
@@ -156,21 +142,15 @@ class _Parser:
                 body = self.negation()
             finally:
                 self.scope.pop()
-            node = Forall if tok.kind == "forall" else Exists
-            return node(var.text, body)
-        if tok.kind == "IDENT":
-            return self.atom()
-        what = tok.text if tok.text else "end of input"
-        raise ParseError(f"expected a formula, found {what!r}", tok.pos)
+            return (Forall if tok.kind == "forall" else Exists)(var.text, body)
+        raise self.error("a formula")
 
     def atom(self) -> Formula:
         name_tok = self.take("IDENT")
         name = name_tok.text
-        if self.peek().kind == "LPAREN":
-            self.take()
+        if self.skip("LPAREN"):
             args = [self.term()]
-            while self.peek().kind == "COMMA":
-                self.take()
+            while self.skip("COMMA"):
                 args.append(self.term())
             self.take("RPAREN")
             arity = self.sig.predicate_arity.get(name)
@@ -194,10 +174,8 @@ class _Parser:
 
     def term(self):
         tok = self.peek()
-        if tok.kind != "IDENT":
-            what = tok.text if tok.text else "end of input"
-            raise ParseError(f"expected a term, found {what!r}", tok.pos)
-        self.take()
+        if not self.skip("IDENT"):
+            raise self.error("a term")
         name = tok.text
         if name in self.scope:  # bound variables shadow constants
             return Var(name)
@@ -208,36 +186,16 @@ class _Parser:
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse formula text against the signature's vocabulary."""
-    p = _Parser(_tokenize(text), sig)
-    out = p.formula()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-    return out
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on a separator at parenthesis depth zero."""
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+    p = _Parser(text, sig)
+    return p.end(p.formula())
 
 
 def parse_premises(text: str, sig: Signature) -> tuple[Formula, ...]:
     """Parse a bare ``;``-separated formula list; empty text means none."""
-    if not text.strip():
+    p = _Parser(text, sig)
+    if p.peek().kind == "EOF":
         return ()
-    return tuple(parse_formula(part, sig) for part in _split_top(text, ";"))
+    return p.end(p.premises())
 
 
 def parse_query(text: str, sig: Signature) -> tuple[Formula, tuple[Formula, ...]]:
@@ -247,11 +205,6 @@ def parse_query(text: str, sig: Signature) -> tuple[Formula, tuple[Formula, ...]
     premise list, so a disjunction in the conclusion must be parenthesized;
     later bars belong to the premises as ordinary disjunctions.
     """
-    head, *rest = _split_top(text, "|")
-    if not rest:
-        return parse_formula(text, sig), ()
-    conclusion = parse_formula(head, sig)
-    premises = tuple(
-        parse_formula(part, sig) for part in _split_top(text[len(head) + 1 :], ";")
-    )
-    return conclusion, premises
+    p = _Parser(text, sig)
+    conclusion = p.formula(_CONCLUSION)
+    return p.end((conclusion, p.premises() if p.skip("|") else ()))

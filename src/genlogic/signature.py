@@ -7,14 +7,15 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_RESERVED = frozenset({"forall", "exists"})
+# Declared names and the formula tokenizer's identifiers share this syntax.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+RESERVED = frozenset({"forall", "exists"})
 
 
 def _check_name(kind: str, name: str) -> None:
-    if not _IDENT.match(name):
+    if not re.fullmatch(NAME, name):
         raise ValueError(f"invalid {kind} name {name!r}")
-    if name in _RESERVED:
+    if name in RESERVED:
         raise ValueError(f"{kind} name {name!r} is a reserved word")
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mnist import N_PIXELS, SIDE, ImageSet, write_idx
+from .mnist import _IDX_NAMES, N_PIXELS, SIDE, ImageSet, write_idx
 
 _SEGMENTS = {
     "a": (slice(5, 7), slice(9, 19)),
@@ -64,25 +64,16 @@ def make_image_set(n: int, seed: int = 0) -> ImageSet:
     return ImageSet(images, labels)
 
 
-_FILE_NAMES = (
-    "train-images-idx3-ubyte",
-    "train-labels-idx1-ubyte",
-    "t10k-images-idx3-ubyte",
-    "t10k-labels-idx1-ubyte",
-)
-
-
 def ensure_synthetic_idx(dir_path, n_train: int = 60000, n_test: int = 10000,
                          seed: int = 0) -> Path:
     """Write classic-named idx files with synthetic digits unless present."""
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    if all((out / name).is_file() for name in _FILE_NAMES):
+    if all((out / name).is_file() for name in _IDX_NAMES.values()):
         return out
     train = make_image_set(n_train, seed=seed)
     test = make_image_set(n_test, seed=seed + 1)
-    write_idx(out / _FILE_NAMES[0], train.images)
-    write_idx(out / _FILE_NAMES[1], train.labels)
-    write_idx(out / _FILE_NAMES[2], test.images)
-    write_idx(out / _FILE_NAMES[3], test.labels)
+    for key, array in (("train_images", train.images), ("train_labels", train.labels),
+                       ("test_images", test.images), ("test_labels", test.labels)):
+        write_idx(out / _IDX_NAMES[key], array)
     return out

@@ -251,7 +251,7 @@ def test_cli_parse_error_is_data_error(desk, capsys):
     sig = ("--signature", str(desk / "rain.sig"))
     rc = main(["infer", "rain | fog", *sig, "--data", str(desk / "rain.csv")])
     assert rc == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: unknown identifier 'fog' (at position 7)\n"
 
 
 # -- mnist subcommands ---------------------------------------------------------------
@@ -402,6 +402,20 @@ def test_mnist_missing_dir_is_data_error(tmp_path, capsys):
         "--out", str(tmp_path / "out"),
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--mu", "x"), ("curve", "--sizes", "ten"), ("curve", "--k", "x"),
+    ("predict", "--mu", "3/2"),
+], ids=["curve-mu", "curve-sizes", "curve-k", "predict-mu"])
+def test_mnist_bad_flag_fails_before_loading(tmp_path, monkeypatch, capsys, argv):
+    # with no idx files in reach, a load would write synthetic digits under ./data
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GENLOGIC_MNIST_DIR", raising=False)
+    rc, _, err = run(capsys, "mnist", *argv)
+    assert rc == 1
+    assert "note:" not in err
+    assert not (tmp_path / "data").exists()
 
 
 def test_mnist_bad_sizes_flag(mnist_dir, tmp_path, capsys):

@@ -1,7 +1,8 @@
+import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genlogic import (
@@ -22,6 +23,7 @@ from genlogic import (
     parse_query,
     pretty,
 )
+from genlogic.parser import _tokenize
 
 from helpers import random_formula
 
@@ -180,3 +182,75 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_hypothesis_pretty_parse_roundtrip(f):
     assert parse_formula(pretty(f), SIG) == f
+
+
+def test_query_error_positions_count_from_start_of_text():
+    with pytest.raises(ParseError) as exc:
+        parse_query("rain | wet; fog", SIG)
+    assert exc.value.position == 12
+    with pytest.raises(ParseError) as exc:
+        parse_premises("rain; fog", SIG)
+    assert exc.value.position == 6
+
+
+def test_long_arrow_chain_nests_right():
+    f = parse_formula(" -> ".join(["rain"] * 1000), SIG)
+    for _ in range(999):  # walk down: == on the whole tree would recurse 1000 deep
+        assert type(f) is Implies and f.left == P
+        f = f.right
+    assert f == P
+
+
+def test_query_conclusion_ends_at_top_level_bar():
+    assert parse_query("rain -> wet | rain", SIG) == (Implies(P, Q), (P,))
+    tall_x = Forall("x", Atom("tall", (Var("x"),)))
+    assert parse_query("forall x. tall(x) | rain", SIG) == (tall_x, (P,))
+    with pytest.raises(ParseError):
+        parse_query("(rain; wet)", SIG)
+
+
+# Texts drawn from SIG's tokens plus the query separators, an unknown name and
+# a character outside the syntax.
+_TOKENS = ["rain", "wet", "blames", "tall", "a", "b", "x", "forall", "exists",
+           "(", ")", ",", ".", "~", "&", "|", "->", "<->", ";", "snow", "@", " "]
+_texts = st.lists(st.sampled_from(_TOKENS), max_size=14).map("".join)
+_parsers = st.sampled_from([parse_formula, parse_query, parse_premises])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_texts, _parsers)
+def test_error_positions_point_into_text_and_parses_roundtrip(text, parse):
+    try:
+        out = parse(text, SIG)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+        # every message quotes the token found at its position first
+        found = re.search(r"'([^']*)'", str(exc)).group(1)
+        if found == "end of input":
+            assert exc.position == len(text)
+        else:
+            assert text.startswith(found, exc.position)
+        return
+    if parse is parse_formula:
+        out = [out]
+    elif parse is parse_query:
+        out = [out[0], *out[1]]
+    for f in out:
+        assert parse_formula(pretty(f), SIG) == f
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=6), st.sampled_from(_TOKENS)))
+@example("é")
+def test_signature_names_are_exactly_tokenizer_identifiers(name):
+    try:
+        tokens = _tokenize(name)
+        one_identifier = [t.kind for t in tokens] == ["IDENT", "EOF"] and tokens[0].text == name
+    except ParseError:
+        one_identifier = False
+    try:
+        Signature(propositions=(name,))
+        declarable = True
+    except ValueError:
+        declarable = False
+    assert declarable == one_identifier
