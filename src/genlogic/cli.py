@@ -12,8 +12,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .data import read_dataset_csv, read_distribution
 from .engine import (
     LIMIT_ONE,
@@ -33,8 +31,8 @@ from .formulas import Formula, ground, pretty
 from .mnist import (
     DEFAULT_THRESHOLD,
     N_DIGITS,
-    binarize,
     generate_all,
+    image_bits,
     image_dataset,
     learning_curve,
     load_split,
@@ -187,6 +185,9 @@ def cmd_entail(args) -> int:
 
 def cmd_mnist(args) -> int:
     # flag values first: the load may write synthetic digits to disk
+    for flag, value in (("--train", args.train), ("--test", args.test)):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be a positive integer")
     if args.task == "predict":
         regime = _resolve_regime(args, LIMIT_ONE)
     if args.task == "curve":
@@ -205,7 +206,7 @@ def cmd_mnist(args) -> int:
     out_dir = Path(args.out)
 
     if args.task == "generate":
-        images = generate_all(image_dataset(train, args.threshold))
+        images = generate_all(train, args.threshold)
         out_dir.mkdir(parents=True, exist_ok=True)
         for digit in range(N_DIGITS):
             path = out_dir / f"digit-{digit}.pgm"
@@ -216,11 +217,8 @@ def cmd_mnist(args) -> int:
     if args.task == "predict":
         if not 0 <= args.index < len(test):
             raise UsageError(f"--index must lie in 0..{len(test) - 1}")
-        data = image_dataset(train, args.threshold)
-        row = binarize(test.images[args.index : args.index + 1], args.threshold)
-        bits = int.from_bytes(
-            np.packbits(row, axis=1, bitorder="little").tobytes(), "little")
-        post = predict_digit(data, bits, regime)
+        (bits,) = image_bits(test.images[args.index : args.index + 1], args.threshold)
+        post = predict_digit(image_dataset(train, args.threshold), bits, regime)
         if post is UNDEFINED:
             print("undefined")
         else:
@@ -303,6 +301,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -1,12 +1,11 @@
 """Handwritten-digit experiments: idx files, generation, prediction, curves.
 
-Images are 28x28 greyscale bytes binarized at a threshold; each image
-becomes one observed world over 794 atoms, the pixel propositions p0..p783
-followed by the digit propositions d0..d9 (exactly one of which holds).
-Digit images are generated as per-pixel white probabilities conditioned on
-a digit atom, and digits are predicted from the posterior over training
-observations given all 784 pixel literals. A Hamming-distance k-nearest-
-neighbour baseline is included for comparison.
+Images are 28x28 greyscale bytes binarized at a threshold. image_bits gives
+an image's white pixels as an int; image_dataset makes it one observed world
+over 794 atoms, the pixels p0..p783 and the digits d0..d9 (exactly one
+holds). Class images are each label's per-pixel white frequency, and digits
+are predicted from the posterior over training observations given all 784
+pixel literals, beside a Hamming-distance k-nearest-neighbour baseline.
 """
 
 from __future__ import annotations
@@ -136,46 +135,41 @@ def digit_signature() -> Signature:
     return Signature(propositions=names)
 
 
+def image_bits(images: np.ndarray, threshold: int = DEFAULT_THRESHOLD) -> list[int]:
+    """Each image's white pixels as an int, pixel j at bit j."""
+    rows = _words(binarize(images, threshold)).T.astype("<u8", order="C")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def image_dataset(batch: ImageSet, threshold: int = DEFAULT_THRESHOLD) -> Dataset:
     """One observed world per image: pixel bits plus the label's digit atom."""
     sig = digit_signature()
-    packed = np.packbits(binarize(batch.images, threshold), axis=1, bitorder="little")
-    entries = []
-    for row, label in zip(packed, batch.labels):
-        bits = int.from_bytes(row.tobytes(), "little") | (1 << (N_PIXELS + int(label)))
-        entries.append((World(sig, bits), 1))
-    return Dataset(tuple(entries))
+    return Dataset(tuple((World(sig, bits | 1 << (N_PIXELS + label)), 1) for bits, label
+                         in zip(image_bits(batch.images, threshold), batch.labels.tolist())))
 
 
-def split_dataset(data: Dataset):
-    """Unpack a digit dataset into (pixels, labels, counts) numpy arrays.
-
-    pixels is (n, 784) bool, labels and counts are (n,) int64; each entry
-    must set exactly one digit atom.
-    """
-    bits = np.unpackbits(data.words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    digits = bits[:, N_PIXELS:]
-    if (digits.sum(axis=1) != 1).any():
+def _digit_labels(data: Dataset) -> list[int]:
+    """Each entry's digit, read from its atoms d0..d9; exactly one must hold."""
+    word, shift = divmod(N_PIXELS, 64)  # d0..d9 share one packed word
+    onehot = data.words[:, word, None] >> np.arange(shift, shift + N_DIGITS, dtype=np.uint64) & 1
+    if (onehot.sum(axis=1) != 1).any():
         raise ValueError("each observation must set exactly one digit atom")
-    return bits[:, :N_PIXELS].view(bool), digits.argmax(axis=1), data.masses.astype(np.int64)
+    return onehot.argmax(axis=1).tolist()
 
 
-def generate_all(data: Dataset) -> np.ndarray:
+def generate_all(batch: ImageSet, threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
     """White-probability images for all ten digits, shape (10, 784).
 
-    Row d is each pixel's class-conditional relative frequency, which is
-    what conditioning the pixel atom on the digit atom d yields as mu -> 1.
+    Row d is the share of digit-d images in which each binarized pixel is
+    white: what conditioning its atom on d in image_dataset yields as mu -> 1.
     """
-    pixels, labels, counts = split_dataset(data)
-    rows = []
-    for d in range(N_DIGITS):
-        mask = labels == d
-        if not mask.any():
-            raise ValueError(f"no observations labelled {d}")
-        w = counts[mask]
-        # Integer sums, one float division: bit-identical to any recount.
-        rows.append((pixels[mask] * w[:, None]).sum(axis=0) / w.sum())
-    return np.stack(rows)
+    bits = binarize(batch.images, threshold)
+    counts = np.bincount(batch.labels, minlength=N_DIGITS)
+    if not counts.all():
+        raise ValueError(f"no observations labelled {counts.argmin()}")
+    # Integer sums, one float division: bit-identical to any recount.
+    sums = [bits[batch.labels == d].sum(axis=0) for d in range(N_DIGITS)]
+    return np.stack(sums) / counts[:, None]
 
 
 def write_pgm(path, probs) -> None:
@@ -200,17 +194,18 @@ def pixel_premises(pixel_bits: int) -> tuple[Formula, ...]:
 def predict_digit(train: Dataset, pixel_bits: int, regime: Regime = LIMIT_ONE):
     """Posterior over the ten digit atoms given every pixel literal.
 
-    Each training observation is weighted by how well it matches the pixel
-    evidence under the regime; the weights then vote for their labels.
-    Returns a 10-tuple summing to 1, or UNDEFINED when the regime is the
-    strict one and no training image matches exactly.
+    posterior_data weighs the training observations under the regime, and
+    each label sums its entries' weight times multiplicity in entry order.
+    Returns ten values of the weights' type summing to 1, or UNDEFINED when
+    the regime is the strict one and no training image matches exactly.
+    Raises ValueError unless each entry sets exactly one digit atom.
     """
+    labels = _digit_labels(train)
     weights = posterior_data(pixel_premises(pixel_bits), train, regime)
     if weights is UNDEFINED:
         return UNDEFINED
-    totals = [0] * N_DIGITS
-    for (w, c), wt in zip(train.entries, weights):
-        label = (w.bits >> N_PIXELS).bit_length() - 1
+    totals = [type(weights[0])(0)] * N_DIGITS
+    for label, c, wt in zip(labels, train.masses.tolist(), weights):
         totals[label] += c * wt
     return tuple(totals)
 

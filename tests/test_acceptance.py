@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from genlogic import (
+    Dataset,
     LIMIT_ONE,
     ONE,
     Query,
@@ -34,10 +35,10 @@ from genlogic import (
 from genlogic.mnist import (
     binarize,
     generate_all,
+    image_bits,
     image_dataset,
     learning_curve,
     predict_digit,
-    split_dataset,
     write_pgm,
 )
 from genlogic.oracle import allnn_bruteforce
@@ -169,8 +170,7 @@ def test_criterion_3_property_suites(capsys):
 def test_criterion_4_generation_at_full_scale(capsys, tmp_path, mnist_split):
     train, _ = mnist_split
     t0 = time.perf_counter()
-    data = image_dataset(train)
-    grid = generate_all(data)
+    grid = generate_all(train)
     paths = []
     for digit in range(10):
         path = tmp_path / f"digit-{digit}.pgm"
@@ -202,11 +202,9 @@ def test_criterion_5_prediction_equals_neighbour_vote(capsys, mnist_split):
     test_bits = binarize(test.images)
     distances = allnn_bruteforce(train_bits.tolist(), test_bits.tolist())
     labels = np.asarray(train.labels)
-    packed = np.packbits(test_bits, axis=1, bitorder="little")
 
     mismatches = 0
-    for i in range(len(test)):
-        bits = int.from_bytes(packed[i].tobytes(), "little")
+    for i, bits in enumerate(image_bits(test.images)):
         post = predict_digit(data, bits, LIMIT_ONE)
         row = distances[i]
         best = min(row)
@@ -288,9 +286,7 @@ def test_criterion_7_scaling_and_update_speed(capsys, mnist_split):
     for w in stream:
         est = update(est, w)
     update_elapsed = time.perf_counter() - t0
-    full = base
-    for w in stream:
-        full = full.extended(w)
+    full = Dataset(base.entries + tuple((w, 1) for w in stream))
     exact_match = est.value == prob(alpha, full, ONE)
 
     ok = median_ratio <= 2.5 and update_elapsed <= 1.0 and exact_match

@@ -2,6 +2,7 @@
 
 import pytest
 
+from genlogic import cli, mnist
 from genlogic.cli import main
 
 
@@ -254,6 +255,17 @@ def test_cli_parse_error_is_data_error(desk, capsys):
     assert capsys.readouterr().err == "error: unknown identifier 'fog' (at position 7)\n"
 
 
+@pytest.mark.parametrize("query", [
+    " -> ".join(["rain"] * 1000), "~" * 3000 + "rain", "(" * 3000 + "rain" + ")" * 3000,
+], ids=["arrows", "negations", "parentheses"])
+def test_cli_deep_formula_is_data_error(desk, capsys, query):
+    rc, out, err = run(
+        capsys, "infer", query, "--signature", str(desk / "rain.sig"),
+        "--data", str(desk / "rain.csv"),
+    )
+    assert (rc, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
 # -- mnist subcommands ---------------------------------------------------------------
 
 
@@ -271,6 +283,21 @@ def test_mnist_generate(mnist_dir, tmp_path, capsys):
         assert path.read_bytes().startswith(b"P5\n28 28\n255\n")
 
 
+def test_mnist_generate_builds_no_dataset(mnist_dir, tmp_path, monkeypatch, capsys):
+    # class images come straight from the binarized images, not from worlds
+    def refuse(*_):
+        raise AssertionError("generate built a dataset")
+
+    monkeypatch.setattr(cli, "image_dataset", refuse)
+    monkeypatch.setattr(mnist, "image_dataset", refuse)
+    rc, stdout, _ = run(
+        capsys, "mnist", "generate", "--mnist-dir", str(mnist_dir),
+        "--train", "500", "--out", str(tmp_path),
+    )
+    assert rc == 0 and stdout.count("wrote") == 10
+    assert len(list(tmp_path.glob("digit-*.pgm"))) == 10
+
+
 def test_mnist_predict(mnist_dir, tmp_path, capsys):
     rc, out, _ = run(
         capsys, "mnist", "predict", "--mnist-dir", str(mnist_dir),
@@ -282,6 +309,18 @@ def test_mnist_predict(mnist_dir, tmp_path, capsys):
     assert [ln.split()[0] for ln in lines] == [f"d{i}" for i in range(10)]
     total = sum(float(ln.split()[1]) for ln in lines)
     assert total == pytest.approx(1.0)
+
+
+def test_mnist_predict_absent_labels_print_float_zeros(mnist_dir, tmp_path, capsys):
+    # the first five synthetic training images are labelled 0..4
+    rc, out, _ = run(
+        capsys, "mnist", "predict", "--mnist-dir", str(mnist_dir),
+        "--train", "5", "--out", str(tmp_path),
+    )
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 10
+    assert all("." in ln.split()[1] for ln in lines)
+    assert lines[5:] == [f"d{d} 0.0" for d in range(5, 10)]
 
 
 def test_mnist_predict_exact_strict(mnist_dir, tmp_path, capsys):
@@ -406,8 +445,10 @@ def test_mnist_missing_dir_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("curve", "--mu", "x"), ("curve", "--sizes", "ten"), ("curve", "--k", "x"),
-    ("predict", "--mu", "3/2"),
-], ids=["curve-mu", "curve-sizes", "curve-k", "predict-mu"])
+    ("predict", "--mu", "3/2"), ("predict", "--train", "0"), ("generate", "--train", "-5"),
+    ("curve", "--test", "0"),
+], ids=["curve-mu", "curve-sizes", "curve-k", "predict-mu", "predict-train",
+        "generate-train", "curve-test"])
 def test_mnist_bad_flag_fails_before_loading(tmp_path, monkeypatch, capsys, argv):
     # with no idx files in reach, a load would write synthetic digits under ./data
     monkeypatch.chdir(tmp_path)
@@ -416,6 +457,8 @@ def test_mnist_bad_flag_fails_before_loading(tmp_path, monkeypatch, capsys, argv
     assert rc == 1
     assert "note:" not in err
     assert not (tmp_path / "data").exists()
+    if argv[1] in ("--train", "--test"):
+        assert err == f"error: {argv[1]} must be a positive integer\n"
 
 
 def test_mnist_bad_sizes_flag(mnist_dir, tmp_path, capsys):

@@ -7,7 +7,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from genlogic import LIMIT_ONE, ONE, Atom, Query, UNDEFINED, cond_prob, fixed
+from genlogic import LIMIT_ONE, ONE, Atom, Dataset, Query, UNDEFINED, World, cond_prob, fixed
 from genlogic import mnist
 from genlogic.mnist import (
     DEFAULT_THRESHOLD,
@@ -16,6 +16,7 @@ from genlogic.mnist import (
     digit_signature,
     generate_all,
     hamming_matrix,
+    image_bits,
     image_dataset,
     knn_scores,
     learning_curve,
@@ -26,7 +27,6 @@ from genlogic.mnist import (
     pixel_premises,
     predict_digit,
     roc_curve,
-    split_dataset,
     write_idx,
     write_pgm,
 )
@@ -121,21 +121,37 @@ def test_digit_signature_layout():
     assert digit_signature() is sig  # cached
 
 
+def test_image_bits_is_packed_pixel_row(small_sets):
+    for images in small_sets:
+        for threshold in (DEFAULT_THRESHOLD, 128):
+            rows = binarize(images.images, threshold)
+            want = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                    for row in rows]
+            assert image_bits(images.images, threshold) == want
+    assert image_bits(np.full((1, 784), 255, dtype=np.uint8)) == [2**784 - 1]
+    assert image_bits(np.zeros((0, 784), dtype=np.uint8)) == []
+
+
 def test_image_dataset_round_trip(small_sets):
     train, _ = small_sets
     data = image_dataset(train)
-    pixels, labels, counts = split_dataset(data)
-    assert pixels.shape == (len(data.entries), 784)
-    assert counts.sum() == len(train)
-    want = binarize(train.images, DEFAULT_THRESHOLD)
-    # regroup per entry: every original row must appear with its label
-    rebuilt = {}
-    for row, lab, c in zip(pixels, labels, counts):
-        rebuilt[row.tobytes() + bytes([lab])] = rebuilt.get(row.tobytes() + bytes([lab]), 0) + c
-    for row, lab in zip(want.astype(bool), train.labels):
-        key = row.tobytes() + bytes([int(lab)])
-        rebuilt[key] -= 1
-    assert all(v == 0 for v in rebuilt.values())
+    assert [c for _, c in data.entries] == [1] * len(train)
+    assert [w.bits & (2**784 - 1) for w, _ in data.entries] == image_bits(train.images)
+    assert mnist._digit_labels(data) == train.labels.tolist()
+    assert all(w.bits >> 784 == 1 << int(d) for (w, _), d in zip(data.entries, train.labels))
+
+
+@pytest.mark.parametrize("digits", [(), (0, 3)], ids=["none", "two"])
+def test_digit_labels_need_exactly_one_digit_atom(small_sets, digits):
+    train, _ = small_sets
+    data = image_dataset(train.take(5))
+    bad = World(data.signature, sum(1 << (784 + d) for d in digits))
+    for broken in (Dataset(data.entries + ((bad, 1),)), Dataset(((bad, 2),) + data.entries)):
+        with pytest.raises(ValueError, match="exactly one digit atom"):
+            mnist._digit_labels(broken)
+        for regime in (LIMIT_ONE, ONE, fixed(0.8), fixed(Fraction(4, 5))):
+            with pytest.raises(ValueError, match="exactly one digit atom"):
+                predict_digit(broken, 0, regime)
 
 
 def test_image_set_validation():
@@ -155,7 +171,7 @@ def test_generate_digit_matches_engine(small_sets):
     # to the last bit: both are one float division of the same two integers
     train, _ = small_sets
     data = image_dataset(train)
-    fast = generate_all(data)[3]
+    fast = generate_all(train)[3]
     d3 = Atom("d3")
     for j in (0, 200, 391, 783):
         slow = cond_prob(Query(Atom(f"p{j}"), (d3,)), data, LIMIT_ONE)
@@ -164,20 +180,21 @@ def test_generate_digit_matches_engine(small_sets):
 
 def test_generate_all_shape_and_consistency(small_sets):
     train, _ = small_sets
-    data = image_dataset(train)
-    grid = generate_all(data)
+    grid = generate_all(train)
     assert grid.shape == (10, 784)
     assert ((0.0 <= grid) & (grid <= 1.0)).all()
+    with pytest.raises(ValueError, match="no observations labelled 5"):
+        generate_all(ImageSet(train.images, train.labels % 5))
 
 
 def test_generate_digit_is_class_mean(small_sets):
     train, _ = small_sets
-    data = image_dataset(train)
-    bits = binarize(train.images, DEFAULT_THRESHOLD)
-    for d in range(10):
-        mask = train.labels == d
-        mean = bits[mask].mean(axis=0)
-        assert np.array_equal(generate_all(data)[d], mean)
+    for threshold in (DEFAULT_THRESHOLD, 128):
+        bits = binarize(train.images, threshold)
+        grid = generate_all(train, threshold)
+        for d in range(10):
+            mean = bits[train.labels == d].mean(axis=0)
+            assert np.array_equal(grid[d], mean)
 
 
 def test_write_pgm(tmp_path):
@@ -203,9 +220,7 @@ def test_predict_digit_matches_allnn(small_sets):
     test_bits = binarize(test.images, DEFAULT_THRESHOLD)
     dists = allnn_bruteforce(train_bits.tolist(), test_bits.tolist())
 
-    packed = np.packbits(test_bits, axis=1, bitorder="little")
-    for i in range(len(test)):
-        pixel_bits = int.from_bytes(packed[i].tobytes(), "little")
+    for i, pixel_bits in enumerate(image_bits(test.images)):
         post = predict_digit(data, pixel_bits, LIMIT_ONE)
         row = dists[i]
         best = min(row)
@@ -221,9 +236,7 @@ def test_predict_digit_strict_regime(small_sets):
     train, _ = small_sets
     data = image_dataset(train)
     # an exact training image must be its own certain prediction
-    pixels, labels, _ = split_dataset(data)
-    packed = np.packbits(pixels[0], bitorder="little")
-    bits = int.from_bytes(packed.tobytes(), "little")
+    (bits,) = image_bits(train.images[:1])
     post = predict_digit(data, bits, ONE)
     assert post is not UNDEFINED
     # all-black image almost surely absent from training data
@@ -238,6 +251,29 @@ def test_predict_digit_fixed_regime_is_soft_vote(small_sets):
     assert post is not UNDEFINED
     assert sum(post) == pytest.approx(1.0)
     assert all(p > 0 for p in post)
+
+
+@pytest.mark.parametrize("regime, kind", [
+    (LIMIT_ONE, Fraction), (ONE, Fraction), (fixed(Fraction(4, 5)), Fraction), (fixed(0.8), float),
+], ids=["limit", "one", "mu-exact", "mu-float"])
+def test_predict_digit_values_share_one_type(small_sets, regime, kind):
+    train, _ = small_sets
+    keep = train.labels < 5
+    data = image_dataset(ImageSet(train.images[keep], train.labels[keep]))
+    (bits,) = image_bits(train.images[keep][:1])
+    post = predict_digit(data, bits, regime)
+    assert all(type(p) is kind for p in post)
+    assert post[5:] == (0,) * 5 and sum(post) == pytest.approx(1)
+
+
+def test_predict_digit_counts_multiplicities(small_sets):
+    train, test = small_sets
+    data = image_dataset(train.take(30))
+    twice = Dataset(tuple((w, 2) for w, _ in data.entries[:10]) + data.entries[10:])
+    doubled = Dataset(data.entries[:10] * 2 + data.entries[10:])
+    for bits in image_bits(test.images[:5]):
+        for regime in (LIMIT_ONE, fixed(Fraction(4, 5))):
+            assert predict_digit(twice, bits, regime) == predict_digit(doubled, bits, regime)
 
 
 # -- neighbour scores and ROC ----------------------------------------------------
@@ -281,8 +317,7 @@ def test_curve_scores_equal_spec_paths(small_sets):
     test_bits = binarize(test.images, DEFAULT_THRESHOLD)
     dist = hamming_matrix(train_bits, test_bits)
     brute = allnn_bruteforce(train_bits.tolist(), test_bits.tolist())
-    packed = np.packbits(test_bits, axis=1, bitorder="little")
-    images = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    images = image_bits(test.images)
     for size in (45, 75, 90):
         data = image_dataset(train.take(size))
         d, onehot = dist[:, :size], np.eye(10)[train.labels[:size]]
