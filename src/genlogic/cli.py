@@ -32,8 +32,6 @@ from .mnist import (
     DEFAULT_THRESHOLD,
     N_DIGITS,
     generate_all,
-    image_bits,
-    image_dataset,
     learning_curve,
     load_split,
     predict_digit,
@@ -188,8 +186,12 @@ def cmd_mnist(args) -> int:
     for flag, value in (("--train", args.train), ("--test", args.test)):
         if value is not None and value < 1:
             raise UsageError(f"{flag} must be a positive integer")
+    if not 1 <= args.threshold <= 255:
+        raise UsageError("--threshold must lie in 1..255")
     if args.task == "predict":
         regime = _resolve_regime(args, LIMIT_ONE)
+        if args.index < 0:
+            raise UsageError("--index must be a non-negative integer")
     if args.task == "curve":
         # the limit predictor plus a fixed-mu predictor per --mu item
         items = ["4/5"] if args.mu is None else args.mu.split(",")
@@ -215,10 +217,9 @@ def cmd_mnist(args) -> int:
         return 0
 
     if args.task == "predict":
-        if not 0 <= args.index < len(test):
+        if args.index >= len(test):
             raise UsageError(f"--index must lie in 0..{len(test) - 1}")
-        (bits,) = image_bits(test.images[args.index : args.index + 1], args.threshold)
-        post = predict_digit(image_dataset(train, args.threshold), bits, regime)
+        post = predict_digit(train, test.images[args.index], regime, args.threshold)
         if post is UNDEFINED:
             print("undefined")
         else:

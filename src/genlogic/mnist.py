@@ -1,11 +1,11 @@
 """Handwritten-digit experiments: idx files, generation, prediction, curves.
 
-Images are 28x28 greyscale bytes binarized at a threshold. image_bits gives
-an image's white pixels as an int; image_dataset makes it one observed world
-over 794 atoms, the pixels p0..p783 and the digits d0..d9 (exactly one
-holds). Class images are each label's per-pixel white frequency, and digits
-are predicted from the posterior over training observations given all 784
-pixel literals, beside a Hamming-distance k-nearest-neighbour baseline.
+Images are 28x28 greyscale bytes binarized at a threshold. image_dataset
+makes each one an observed world over the pixels p0..p783 and the digits
+d0..d9 (exactly one holds). Class images are each label's per-pixel white
+frequency. A digit's posterior given all 784 pixel literals depends on each
+training image only through its Hamming distance, so prediction and the
+curve score from distances, beside a Hamming k-nearest-neighbour baseline.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .engine import LIMIT_ONE, Regime, UNDEFINED, fixed, posterior_data
+from .engine import LIMIT_ONE, Regime, UNDEFINED, _ratio, _weights, fixed
+from .engine import posterior_data  # unused here: perfbench wraps mnist.posterior_data
 from .formulas import Atom, Formula, Not
 from .signature import Signature
 from .worlds import World
@@ -148,15 +149,6 @@ def image_dataset(batch: ImageSet, threshold: int = DEFAULT_THRESHOLD) -> Datase
                          in zip(image_bits(batch.images, threshold), batch.labels.tolist())))
 
 
-def _digit_labels(data: Dataset) -> list[int]:
-    """Each entry's digit, read from its atoms d0..d9; exactly one must hold."""
-    word, shift = divmod(N_PIXELS, 64)  # d0..d9 share one packed word
-    onehot = data.words[:, word, None] >> np.arange(shift, shift + N_DIGITS, dtype=np.uint64) & 1
-    if (onehot.sum(axis=1) != 1).any():
-        raise ValueError("each observation must set exactly one digit atom")
-    return onehot.argmax(axis=1).tolist()
-
-
 def generate_all(batch: ImageSet, threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
     """White-probability images for all ten digits, shape (10, 784).
 
@@ -191,23 +183,29 @@ def pixel_premises(pixel_bits: int) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-def predict_digit(train: Dataset, pixel_bits: int, regime: Regime = LIMIT_ONE):
-    """Posterior over the ten digit atoms given every pixel literal.
+def predict_digit(train: ImageSet, image, regime: Regime = LIMIT_ONE,
+                  threshold: int = DEFAULT_THRESHOLD):
+    """Posterior over the ten digit atoms given every pixel literal of image.
 
-    posterior_data weighs the training observations under the regime, and
-    each label sums its entries' weight times multiplicity in entry order.
-    Returns ten values of the weights' type summing to 1, or UNDEFINED when
-    the regime is the strict one and no training image matches exactly.
-    Raises ValueError unless each entry sets exactly one digit atom.
+    A training image's premise score is 784 minus its Hamming distance to
+    the image. Float fixed(mu) is the curve's scorer on that distance row.
+    Otherwise h counts the training images by (score s, label d), and label
+    d gets sum_s w(s) h[s][d] over that sum for all labels, w being the
+    regime's weight table. Returns ten values of one type summing to 1, or
+    UNDEFINED when the regime is the strict one and no training image
+    matches exactly.
     """
-    labels = _digit_labels(train)
-    weights = posterior_data(pixel_premises(pixel_bits), train, regime)
-    if weights is UNDEFINED:
-        return UNDEFINED
-    totals = [type(weights[0])(0)] * N_DIGITS
-    for label, c, wt in zip(labels, train.masses.tolist(), weights):
-        totals[label] += c * wt
-    return tuple(totals)
+    dist = hamming_matrix(binarize(train.images, threshold),
+                          binarize(np.asarray(image)[None], threshold))
+    if isinstance(regime.mu, float):
+        return tuple(_fixed_scores(regime.mu)(dist, np.eye(N_DIGITS)[train.labels])[0].tolist())
+    hist = np.zeros((N_PIXELS + 1, N_DIGITS), dtype=np.int64)
+    np.add.at(hist, (N_PIXELS - dist[0], train.labels), 1)
+    live = np.flatnonzero(hist.any(axis=1)).tolist()
+    weights = _weights(regime, N_PIXELS, min(live), max(live))  # ValueError if no images
+    num = [sum(weights[s] * c for s, c in zip(live, col)) for col in hist[live].T.tolist()]
+    den = sum(num)
+    return UNDEFINED if den == 0 else tuple(_ratio(n, den) for n in num)
 
 
 _BLOCK_ROWS = 128  # test rows per distance block: 10k x 60k never exists at once
@@ -252,7 +250,7 @@ def _fixed_scores(mu):
     def scores(dist: np.ndarray, onehot: np.ndarray) -> np.ndarray:
         ref = (dist.min if sign > 0 else dist.max)(axis=1, keepdims=True)
         weights = powers[sign * (dist - ref)]
-        # Running sums in training order, as predict_digit adds: equal floats,
+        # Running sums in entry order, as the engine's per-entry sum: equal floats,
         # where a BLAS sum splits ties. [:, -1:].sum() is 0 for an absent label.
         weights /= np.cumsum(weights, axis=1)[:, -1:]
         return np.stack([np.cumsum(weights[:, onehot[:, d] > 0], axis=1)[:, -1:].sum(axis=1)

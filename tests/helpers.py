@@ -8,7 +8,10 @@ brute-force references remain cheap.
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+
 from genlogic import (
+    UNDEFINED,
     And,
     Atom,
     Dataset,
@@ -19,6 +22,14 @@ from genlogic import (
     Or,
     Signature,
     enumerate_worlds,
+    posterior_data,
+)
+from genlogic.mnist import (
+    DEFAULT_THRESHOLD,
+    N_DIGITS,
+    image_bits,
+    image_dataset,
+    pixel_premises,
 )
 
 _SIGS = [Signature(propositions=tuple(f"a{i}" for i in range(n))) for n in (1, 2, 3, 4)]
@@ -76,3 +87,17 @@ def random_dataset(rng: Random, sig: Signature) -> Dataset:
 def random_mu(rng: Random) -> Fraction:
     den = rng.randint(2, 12)
     return Fraction(rng.randint(1, den - 1), den)
+
+
+def digit_posterior_spec(train, image, regime, threshold=DEFAULT_THRESHOLD):
+    """predict_digit by the engine: one world per training image, the 784
+    pixel literals of image as premises, posterior_data's weights summed per
+    label in entry order."""
+    (bits,) = image_bits(np.asarray(image)[None], threshold)
+    weights = posterior_data(pixel_premises(bits), image_dataset(train, threshold), regime)
+    if weights is UNDEFINED:
+        return UNDEFINED
+    totals = [type(weights[0])(0)] * N_DIGITS
+    for label, wt in zip(train.labels.tolist(), weights):
+        totals[label] += wt
+    return tuple(totals)

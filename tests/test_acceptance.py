@@ -35,7 +35,6 @@ from genlogic import (
 from genlogic.mnist import (
     binarize,
     generate_all,
-    image_bits,
     image_dataset,
     learning_curve,
     predict_digit,
@@ -197,15 +196,14 @@ def test_criterion_5_prediction_equals_neighbour_vote(capsys, mnist_split):
     train, test = mnist_split
     train, test = train.take(1000), test.take(1000)
     t0 = time.perf_counter()
-    data = image_dataset(train)
     train_bits = binarize(train.images)
     test_bits = binarize(test.images)
     distances = allnn_bruteforce(train_bits.tolist(), test_bits.tolist())
     labels = np.asarray(train.labels)
 
     mismatches = 0
-    for i, bits in enumerate(image_bits(test.images)):
-        post = predict_digit(data, bits, LIMIT_ONE)
+    for i, image in enumerate(test.images):
+        post = predict_digit(train, image, LIMIT_ONE)
         row = distances[i]
         best = min(row)
         votes = [0] * 10

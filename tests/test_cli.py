@@ -2,7 +2,7 @@
 
 import pytest
 
-from genlogic import cli, mnist
+from genlogic import mnist
 from genlogic.cli import main
 
 
@@ -284,18 +284,25 @@ def test_mnist_generate(mnist_dir, tmp_path, capsys):
 
 
 def test_mnist_generate_builds_no_dataset(mnist_dir, tmp_path, monkeypatch, capsys):
-    # class images come straight from the binarized images, not from worlds
+    # class images and predictions come straight from the binarized images,
+    # not from worlds
     def refuse(*_):
-        raise AssertionError("generate built a dataset")
+        raise AssertionError("built a dataset")
 
-    monkeypatch.setattr(cli, "image_dataset", refuse)
     monkeypatch.setattr(mnist, "image_dataset", refuse)
+    monkeypatch.setattr(mnist, "posterior_data", refuse)
     rc, stdout, _ = run(
         capsys, "mnist", "generate", "--mnist-dir", str(mnist_dir),
         "--train", "500", "--out", str(tmp_path),
     )
     assert rc == 0 and stdout.count("wrote") == 10
     assert len(list(tmp_path.glob("digit-*.pgm"))) == 10
+    for flags in ((), ("--one",), ("--exact", "--mu", "4/5"), ("--mu", "0.8")):
+        rc, stdout, _ = run(
+            capsys, "mnist", "predict", "--mnist-dir", str(mnist_dir),
+            "--train", "500", "--out", str(tmp_path), *flags,
+        )
+        assert rc == 0 and (stdout == "undefined\n" or len(stdout.splitlines()) == 10)
 
 
 def test_mnist_predict(mnist_dir, tmp_path, capsys):
@@ -339,6 +346,11 @@ def test_mnist_predict_bad_index(mnist_dir, tmp_path, capsys):
         "--index", "-1", "--out", str(tmp_path),
     )
     assert rc == 1
+    rc, _, err = run(
+        capsys, "mnist", "predict", "--mnist-dir", str(mnist_dir),
+        "--index", "100000", "--out", str(tmp_path),
+    )
+    assert rc == 1 and err.startswith("error: --index must lie in 0..")
 
 
 def test_mnist_curve(mnist_dir, tmp_path, capsys):
@@ -446,9 +458,11 @@ def test_mnist_missing_dir_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("curve", "--mu", "x"), ("curve", "--sizes", "ten"), ("curve", "--k", "x"),
     ("predict", "--mu", "3/2"), ("predict", "--train", "0"), ("generate", "--train", "-5"),
-    ("curve", "--test", "0"),
+    ("curve", "--test", "0"), ("predict", "--index", "-1"), ("generate", "--threshold", "0"),
+    ("predict", "--threshold", "256"), ("curve", "--threshold", "300"),
 ], ids=["curve-mu", "curve-sizes", "curve-k", "predict-mu", "predict-train",
-        "generate-train", "curve-test"])
+        "generate-train", "curve-test", "predict-index", "generate-threshold",
+        "predict-threshold", "curve-threshold"])
 def test_mnist_bad_flag_fails_before_loading(tmp_path, monkeypatch, capsys, argv):
     # with no idx files in reach, a load would write synthetic digits under ./data
     monkeypatch.chdir(tmp_path)
@@ -459,6 +473,10 @@ def test_mnist_bad_flag_fails_before_loading(tmp_path, monkeypatch, capsys, argv
     assert not (tmp_path / "data").exists()
     if argv[1] in ("--train", "--test"):
         assert err == f"error: {argv[1]} must be a positive integer\n"
+    if argv[1] == "--threshold":
+        assert err == "error: --threshold must lie in 1..255\n"
+    if argv[1] == "--index":
+        assert err == "error: --index must be a non-negative integer\n"
 
 
 def test_mnist_bad_sizes_flag(mnist_dir, tmp_path, capsys):

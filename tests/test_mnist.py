@@ -7,7 +7,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from genlogic import LIMIT_ONE, ONE, Atom, Dataset, Query, UNDEFINED, World, cond_prob, fixed
+from genlogic import LIMIT_ONE, ONE, Atom, Query, UNDEFINED, cond_prob, fixed
 from genlogic import mnist
 from genlogic.mnist import (
     DEFAULT_THRESHOLD,
@@ -24,7 +24,6 @@ from genlogic.mnist import (
     load_image_set,
     load_split,
     locate_idx_files,
-    pixel_premises,
     predict_digit,
     roc_curve,
     write_idx,
@@ -32,6 +31,7 @@ from genlogic.mnist import (
 )
 from genlogic.oracle import allnn_bruteforce
 from genlogic.synthdata import make_image_set
+from helpers import digit_posterior_spec
 
 
 @pytest.fixture(scope="module")
@@ -137,21 +137,7 @@ def test_image_dataset_round_trip(small_sets):
     data = image_dataset(train)
     assert [c for _, c in data.entries] == [1] * len(train)
     assert [w.bits & (2**784 - 1) for w, _ in data.entries] == image_bits(train.images)
-    assert mnist._digit_labels(data) == train.labels.tolist()
     assert all(w.bits >> 784 == 1 << int(d) for (w, _), d in zip(data.entries, train.labels))
-
-
-@pytest.mark.parametrize("digits", [(), (0, 3)], ids=["none", "two"])
-def test_digit_labels_need_exactly_one_digit_atom(small_sets, digits):
-    train, _ = small_sets
-    data = image_dataset(train.take(5))
-    bad = World(data.signature, sum(1 << (784 + d) for d in digits))
-    for broken in (Dataset(data.entries + ((bad, 1),)), Dataset(((bad, 2),) + data.entries)):
-        with pytest.raises(ValueError, match="exactly one digit atom"):
-            mnist._digit_labels(broken)
-        for regime in (LIMIT_ONE, ONE, fixed(0.8), fixed(Fraction(4, 5))):
-            with pytest.raises(ValueError, match="exactly one digit atom"):
-                predict_digit(broken, 0, regime)
 
 
 def test_image_set_validation():
@@ -161,6 +147,8 @@ def test_image_set_validation():
         ImageSet(np.zeros((3, 784), dtype=np.uint8), np.zeros(2, dtype=np.uint8))
     with pytest.raises(ValueError):
         ImageSet(np.zeros((3, 784), dtype=np.float32), np.zeros(3, dtype=np.uint8))
+    with pytest.raises(ValueError, match="0..9"):
+        ImageSet(np.zeros((3, 784), dtype=np.uint8), np.array([0, 9, 10], dtype=np.uint8))
 
 
 # -- generation: engine route equals the vectorized route ------------------------
@@ -215,13 +203,12 @@ def test_write_pgm(tmp_path):
 
 def test_predict_digit_matches_allnn(small_sets):
     train, test = small_sets
-    data = image_dataset(train)
     train_bits = binarize(train.images, DEFAULT_THRESHOLD)
     test_bits = binarize(test.images, DEFAULT_THRESHOLD)
     dists = allnn_bruteforce(train_bits.tolist(), test_bits.tolist())
 
-    for i, pixel_bits in enumerate(image_bits(test.images)):
-        post = predict_digit(data, pixel_bits, LIMIT_ONE)
+    for i, image in enumerate(test.images):
+        post = predict_digit(train, image, LIMIT_ONE)
         row = dists[i]
         best = min(row)
         votes = [0] * 10
@@ -232,22 +219,21 @@ def test_predict_digit_matches_allnn(small_sets):
         assert list(post) == want
 
 
+_BLACK = np.zeros(784, dtype=np.uint8)  # almost surely absent from the training images
+
+
 def test_predict_digit_strict_regime(small_sets):
     train, _ = small_sets
-    data = image_dataset(train)
     # an exact training image must be its own certain prediction
-    (bits,) = image_bits(train.images[:1])
-    post = predict_digit(data, bits, ONE)
+    post = predict_digit(train, train.images[0], ONE)
     assert post is not UNDEFINED
-    # all-black image almost surely absent from training data
-    assert predict_digit(data, 0, ONE) is UNDEFINED
-    assert predict_digit(data, 0, LIMIT_ONE) is not UNDEFINED
+    assert predict_digit(train, _BLACK, ONE) is UNDEFINED
+    assert predict_digit(train, _BLACK, LIMIT_ONE) is not UNDEFINED
 
 
 def test_predict_digit_fixed_regime_is_soft_vote(small_sets):
     train, _ = small_sets
-    data = image_dataset(train)
-    post = predict_digit(data, 0, fixed(0.8))
+    post = predict_digit(train, _BLACK, fixed(0.8))
     assert post is not UNDEFINED
     assert sum(post) == pytest.approx(1.0)
     assert all(p > 0 for p in post)
@@ -259,21 +245,39 @@ def test_predict_digit_fixed_regime_is_soft_vote(small_sets):
 def test_predict_digit_values_share_one_type(small_sets, regime, kind):
     train, _ = small_sets
     keep = train.labels < 5
-    data = image_dataset(ImageSet(train.images[keep], train.labels[keep]))
-    (bits,) = image_bits(train.images[keep][:1])
-    post = predict_digit(data, bits, regime)
+    train = ImageSet(train.images[keep], train.labels[keep])
+    post = predict_digit(train, train.images[0], regime)
     assert all(type(p) is kind for p in post)
     assert post[5:] == (0,) * 5 and sum(post) == pytest.approx(1)
 
 
-def test_predict_digit_counts_multiplicities(small_sets):
+_REGIMES = (ONE, LIMIT_ONE, fixed(Fraction(4, 5)), fixed(Fraction(3, 10)), fixed(0.8), fixed(0.3))
+
+
+@pytest.mark.parametrize("size", [120, 7], ids=["all-labels", "some-labels"])
+def test_predict_digit_equals_engine_route(small_sets, size):
+    # Equal values of equal types, UNDEFINED included, in every regime; an
+    # absent label is a zero of the result's type.
     train, test = small_sets
-    data = image_dataset(train.take(30))
-    twice = Dataset(tuple((w, 2) for w, _ in data.entries[:10]) + data.entries[10:])
-    doubled = Dataset(data.entries[:10] * 2 + data.entries[10:])
-    for bits in image_bits(test.images[:5]):
-        for regime in (LIMIT_ONE, fixed(Fraction(4, 5))):
-            assert predict_digit(twice, bits, regime) == predict_digit(doubled, bits, regime)
+    train = train.take(size)
+    assert (len(set(train.labels.tolist())) < 10) == (size < 10)
+    images = [*test.images[:4], train.images[3], _BLACK]
+    for threshold in (DEFAULT_THRESHOLD, 128):
+        for image in images:
+            for regime in _REGIMES:
+                got = predict_digit(train, image, regime, threshold)
+                want = digit_posterior_spec(train, image, regime, threshold)
+                assert got == want
+                if want is not UNDEFINED:
+                    assert [type(p) for p in got] == [type(p) for p in want]
+
+
+
+def test_predict_digit_needs_training_images():
+    empty = ImageSet(np.zeros((0, 784), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+    for regime in _REGIMES:
+        with pytest.raises(ValueError):
+            predict_digit(empty, _BLACK, regime)
 
 
 # -- neighbour scores and ROC ----------------------------------------------------
@@ -317,14 +321,13 @@ def test_curve_scores_equal_spec_paths(small_sets):
     test_bits = binarize(test.images, DEFAULT_THRESHOLD)
     dist = hamming_matrix(train_bits, test_bits)
     brute = allnn_bruteforce(train_bits.tolist(), test_bits.tolist())
-    images = image_bits(test.images)
     for size in (45, 75, 90):
-        data = image_dataset(train.take(size))
+        prefix = train.take(size)
         d, onehot = dist[:, :size], np.eye(10)[train.labels[:size]]
 
         def spec(regime):
-            return np.array([[float(p) for p in predict_digit(data, bits, regime)]
-                             for bits in images])
+            return np.array([[float(p) for p in predict_digit(prefix, image, regime)]
+                             for image in test.images])
 
         assert np.array_equal(mnist._limit_scores(d, onehot), spec(LIMIT_ONE))
         # Same float operations in the same order: equal, not merely close.
