@@ -28,10 +28,12 @@ a per-world sum. Float posteriors are summed left to right in world order,
 bit-identical to a per-world loop; float conditionals come from the histogram
 and may differ from a per-world sum by rounding only. A streaming estimate
 keeps that histogram as integer counts. Its formulas are compiled once into
-a function of a world's bits, ``update`` runs that function on one world
-and raises one count, and a world over another signature is rejected. The
-value is the same reduction, so it equals a full recompute in every regime,
-floats included.
+a function of a world's bits, memoized on the bits of the atoms they
+mention (at most CELL_MEMO_SIZE entries). ``update`` looks one world up
+there, a dict lookup on a hit and O(#premises) on a miss, and copies the
+estimate with one count raised; a world over another signature is rejected.
+The value is the same reduction, so it equals a full recompute in every
+regime, floats included.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from .data import Dataset, ModelDistribution
 from .formulas import Atom, Formula, Not
 from .signature import Signature
-from .worlds import World, compile_formula, pack, truth
+from .worlds import World, _bit, compile_formula, pack, truth
 from .worlds import evaluate  # unused here: perfbench counts calls through engine.evaluate
 
 
@@ -281,6 +283,11 @@ def posterior_models(premises: Sequence[Formula], dist: ModelDistribution,
     return _posterior(premises, dist, regime, weighted=True)
 
 
+# Most entries one estimate's cell memo stores: every pattern of up to 12
+# mentioned atoms, about 280 kB when full.
+CELL_MEMO_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class RunningEstimate:
     """Streaming estimate of a (conditional) probability on a growing dataset.
@@ -290,7 +297,9 @@ class RunningEstimate:
     reduces, kept as integers. ``value`` is that reduction, computed on first
     read, so it equals a full recompute over the same observations in every
     regime, float fixed(mu) included. ``signature`` is the dataset's, the one
-    every update must match; it takes no part in ``==`` or ``repr``.
+    every update must match; it takes no part in ``==`` or ``repr``. ``cell``
+    maps a world to its counts index through a memo of at most
+    CELL_MEMO_SIZE entries that every successor of one estimate shares.
     """
 
     alpha: Formula
@@ -312,17 +321,41 @@ class RunningEstimate:
     @cached_property
     def cell(self):
         """A world's bits -> its counts index 2*s + a, compiled once from alpha
-        and the premises. ``update`` hands it on to the new estimate; a pickle
-        leaves it out, and it is compiled again on first use."""
+        and the premises.
+
+        The index depends only on the bits of the atoms they mention, so it is
+        memoized on those bits: a hit costs one dict lookup, a miss runs the
+        compiled formulas in O(#premises). The memo (``cell.memo``) stores at
+        most CELL_MEMO_SIZE entries; once it is full a miss is computed and
+        not stored. ``update`` hands the cell, memo included, on to the new
+        estimate; a pickle leaves it out, and it is compiled again, with an
+        empty memo, on first use.
+        """
         index = self.signature.atom_index
-        holds = compile_formula(self.alpha, index)
-        tests = tuple(compile_formula(f, index) for f in self.premises)
+        mask = 0
+
+        def leaf(j):
+            nonlocal mask
+            mask |= 1 << j
+            return _bit(j)
+        holds = compile_formula(self.alpha, index, leaf)
+        tests = tuple(compile_formula(f, index, leaf) for f in self.premises)
+        memo = {}
 
         def cell(bits):
-            s = 0
-            for test in tests:
-                s += test(bits)
-            return 2 * s + holds(bits)
+            key = bits & mask
+            i = memo.get(key)
+            if i is None:
+                s = 0
+                for test in tests:
+                    s += test(key)
+                i = 2 * s + holds(key)
+                # threads racing past this check can overshoot the bound by
+                # one entry each; every stored index is still right
+                if len(memo) < CELL_MEMO_SIZE:
+                    memo[key] = i
+            return i
+        cell.memo = memo
         return cell
 
     def __getstate__(self):
@@ -343,22 +376,25 @@ def running_estimate(alpha: Formula, data: Dataset, regime: Regime = LIMIT_ONE,
 
 
 def update(est: RunningEstimate, world: World) -> RunningEstimate:
-    """Fold one new observation into the estimate in O(#premises).
+    """Fold one new observation into the estimate.
 
-    Runs the estimate's compiled cell on the world's bits and returns a new
-    estimate with that one count raised, sharing the cell; ``est`` itself
-    does not change. A world over another signature is rejected, as the
-    extended dataset would reject it.
+    Looks the world up in the estimate's memoized cell (one dict lookup on a
+    hit, O(#premises) on a miss) and returns a new estimate with that one
+    count raised, sharing the cell. The new estimate is a copy of ``est``'s
+    instance dict with the new counts and no cached value, made without the
+    dataclass constructor; ``est`` itself does not change. A world over
+    another signature is rejected, as the extended dataset would reject it.
     """
     sig = est.signature
     if not (world.signature is sig or world.signature == sig):
         raise ValueError("dataset entries mix signatures")
-    cell = est.cell
-    i = cell(world.bits)
+    i = est.cell(world.bits)  # compiles the cell first if est was unpickled
+    state = est.__dict__.copy()
+    state.pop("value", None)
     c = est.counts
-    new = RunningEstimate(est.alpha, est.premises, est.regime,
-                          c[:i] + (c[i] + 1,) + c[i + 1:], sig)
-    new.__dict__["cell"] = cell  # the cached_property's slot
+    state["counts"] = c[:i] + (c[i] + 1,) + c[i + 1:]
+    new = object.__new__(RunningEstimate)
+    object.__setattr__(new, "__dict__", state)
     return new
 
 

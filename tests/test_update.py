@@ -1,6 +1,7 @@
 """Streaming updates must agree exactly with full recomputes."""
 
 import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
 
@@ -332,3 +333,111 @@ def test_estimate_pickles_and_keeps_updating():
             est, thawed = update(est, w), update(thawed, w)
         assert thawed.counts == est.counts and thawed.value == est.value
         assert thawed == est
+
+
+def test_estimate_pickle_leaves_the_memo_out():
+    # 2,000 distinct worlds fill the memo with 2,000 entries; the pickle
+    # grows only by the larger counts
+    rng = Random(307)
+    sig = Signature(propositions=tuple(f"s{i}" for i in range(12)))
+    alpha, *premises = (parse_formula(text, sig) for text in
+                        ("s0 | ~s1", "s2 & s3", "s4 -> s5", "s6 <-> s7", "s8 | s9 | s10 | s11"))
+    data = Dataset.weighted((World(sig, rng.getrandbits(12)), rng.randint(1, 3))
+                            for _ in range(20))
+    stream = [World(sig, b) for b in rng.sample(range(1 << 12), 2000)]
+    for regime in (ONE, LIMIT_ONE, fixed(Fraction(3, 4)), fixed(0.75)):
+        est = running_estimate(alpha, data, regime, premises)
+        for w in stream[:2]:
+            est = update(est, w)
+        small = len(pickle.dumps(est))
+        for w in stream[2:]:
+            est = update(est, w)
+        assert len(est.cell.memo) == 2000
+        assert 0 <= len(pickle.dumps(est)) - small <= 2 * len(est.counts)
+
+
+def _atom_mask(f, index):
+    if isinstance(f, Atom):
+        return 1 << index[f.key()]
+    if isinstance(f, Not):
+        return _atom_mask(f.body, index)
+    return _atom_mask(f.left, index) | _atom_mask(f.right, index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_worlds_agreeing_on_the_mentioned_atoms_share_a_cell(data):
+    sig = data.draw(st.sampled_from(_SIGS_UP_TO_5))
+    alpha = data.draw(_formulas(sig))
+    premises = tuple(data.draw(st.lists(_formulas(sig), max_size=4)))
+    mentioned = 0
+    for f in (alpha, *premises):
+        mentioned |= _atom_mask(f, sig.atom_index)
+    bits = st.integers(0, (1 << sig.n_atoms) - 1)
+    first, other = data.draw(bits), data.draw(bits)
+    second = World(sig, first & mentioned | other & ~mentioned)
+    est = running_estimate(alpha, Dataset.of([second]), LIMIT_ONE, premises)
+    want = 2 * sum(evaluate(p, second) for p in premises) + evaluate(alpha, second)
+    assert est.cell(first) == est.cell(second.bits) == want  # the second is a memo hit
+
+
+def test_more_mentioned_atoms_than_the_memo_holds():
+    # 20 atoms under 20 premises: 2^20 patterns, so after 4,096 of the 10,000
+    # distinct streamed worlds every new pattern is computed and not stored
+    rng = Random(308)
+    n = 20
+    sig = Signature(propositions=tuple(f"s{i}" for i in range(n)))
+    alpha = parse_formula("s0 <-> s19", sig)
+    premises = tuple(parse_formula(f"s{k} | s{(k + 1) % n} | ~s{(k + 2) % n}", sig)
+                     for k in range(n))
+    data = Dataset.weighted((World(sig, rng.getrandbits(n)), rng.randint(1, 3))
+                            for _ in range(50))
+    stream = [World(sig, b) for b in rng.sample(range(1 << n), 10000)]
+    extended = Dataset(data.entries + tuple((w, 1) for w in stream))
+    for regime in (ONE, LIMIT_ONE, fixed(Fraction(4, 5)), fixed(0.8)):
+        for given_ in ((), premises):
+            est = running_estimate(alpha, data, regime, given_)
+            for w in stream:
+                est = update(est, w)
+            assert len(est.cell.memo) == (engine.CELL_MEMO_SIZE if given_ else 4)
+            want = (cond_prob(Query(alpha, given_), extended, regime) if given_
+                    else prob(alpha, extended, regime))
+            assert est.count == extended.size
+            assert est.value == want  # UNDEFINED is UNDEFINED only
+
+
+def test_memo_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(engine, "CELL_MEMO_SIZE", 8)
+    rng = Random(309)
+    sig = Signature(propositions=tuple(f"s{i}" for i in range(6)))
+    alpha, *premises = (parse_formula(text, sig) for text in
+                        ("s0 | ~s1", "s2 -> s3", "s4 <-> s5", "s1"))
+    data = Dataset.weighted((World(sig, rng.getrandbits(6)), rng.randint(1, 3))
+                            for _ in range(10))
+    for regime in (ONE, LIMIT_ONE, fixed(Fraction(2, 3)), fixed(0.3)):
+        est, extended = running_estimate(alpha, data, regime, premises), data
+        for _ in range(200):
+            w = World(sig, rng.getrandbits(6))
+            est, extended = update(est, w), extended.extended(w)
+            assert len(est.cell.memo) <= 8
+            assert est.value == cond_prob(Query(alpha, premises), extended, regime)
+        assert len(est.cell.memo) == 8
+
+
+def test_successor_keeps_the_frozen_contract(rain_sig, rain_data):
+    # p(wet | rain) moves from 3/4 once a dry rainy day is seen: a successor
+    # that kept its parent's cached value would read stale
+    wet, rain = parse_formula("wet", rain_sig), parse_formula("rain", rain_sig)
+    dry_rain = enumerate_worlds(rain_sig)[2]
+    extended = rain_data.extended(dry_rain)
+    for regime in (ONE, LIMIT_ONE, fixed(Fraction(4, 5)), fixed(0.8)):
+        est = running_estimate(wet, rain_data, regime, (rain,))
+        value, counts = est.value, est.counts
+        new = update(est, dry_rain)
+        assert new.value == cond_prob(Query(wet, (rain,)), extended, regime) != value
+        assert est.value == value and est.counts == counts
+        for name in ("counts", "alpha", "value"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(new, name, None)
+        fresh = running_estimate(wet, extended, regime, (rain,))
+        assert new == fresh and hash(new) == hash(fresh) and repr(new) == repr(fresh)
