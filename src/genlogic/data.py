@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -192,7 +193,7 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
     the weights become floats.
     """
     worlds = enumerate_worlds(sig)
-    weights: list = [None] * len(worlds)
+    rows: dict[int, str] = {}  # row in enumerate_worlds order -> weight text
     parsed: dict[str, Fraction] = {}  # equal weight texts parse once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -206,9 +207,10 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
             World.from_bitstring(sig, bits_text)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        i = int(bits_text, 2)  # its row in enumerate_worlds order
-        if weights[i] is not None:
+        i = int(bits_text, 2)
+        if i in rows:
             raise ValueError(f"line {lineno}: world {bits_text} listed twice")
+        rows[i] = weight_text
         if weight_text not in parsed:
             try:
                 parsed[weight_text] = Fraction(weight_text)
@@ -216,15 +218,14 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
                 raise ValueError(f"line {lineno}: bad weight {weight_text!r}") from exc
             if parsed[weight_text] < 0:
                 raise ValueError(f"line {lineno}: negative weight {weight_text}")
-        weights[i] = parsed[weight_text]
-    weights = [Fraction(0) if wt is None else wt for wt in weights]
-    total = sum(weights)
+    total = sum(k * parsed[t] for t, k in Counter(rows.values()).items())
     if abs(total - 1) > Fraction(1, 10**9):
         raise ValueError(f"weights sum to {float(total)}, expected 1 within 1e-9")
-    share = {wt: wt / total for wt in set(weights)}  # equal weights share one value
-    if not exact:
-        share = {wt: float(v) for wt, v in share.items()}
-    return ModelDistribution(tuple(worlds), tuple(share[wt] for wt in weights))
+    share = {t: v / total if exact else float(v / total) for t, v in parsed.items()}
+    weights = [Fraction(0) if exact else 0.0] * len(worlds)  # unlisted rows share one zero
+    for i, t in rows.items():
+        weights[i] = share[t]
+    return ModelDistribution(tuple(worlds), tuple(weights))
 
 
 def read_distribution(path, sig: Signature, exact: bool = True) -> ModelDistribution:

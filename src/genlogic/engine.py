@@ -20,13 +20,16 @@ Arithmetic follows the numeric types supplied: exact fractions in, exact
 fractions out; floats in, floats out. Dataset paths with ``ONE`` or
 ``LIMIT_ONE`` count integers and return exact fractions.
 
-Every all-worlds path scores all worlds at once on the source's packed
-words, and the conditional family (``cond_prob``, ``prob``, ``joint_prob``,
-``cond_prob_multi``) reduces one histogram of mass by (premise score,
-satisfied conclusions) under one per-score weight table. Exact results equal
-a per-world sum. Float posteriors are summed left to right in world order,
-bit-identical to a per-world loop; float conditionals come from the histogram
-and may differ from a per-world sum by rounding only. A streaming estimate
+Every all-worlds path reads one bool matrix over the source's packed words,
+``_truths``: a ``worlds.truth`` column per formula occurrence. A world's
+premise score is its row sum, entailment the row's conjunction, and MCS/MPS
+read the columns of the distinct premises. The conditional family
+(``cond_prob``, ``prob``, ``joint_prob``, ``cond_prob_multi``) reduces one
+histogram of mass by (premise score, satisfied conclusions) under one
+per-score weight table. Exact results equal a per-world sum. Float
+posteriors are summed left to right in world order, bit-identical to a
+per-world loop; float conditionals come from the histogram and may differ
+from a per-world sum by rounding only. A streaming estimate
 keeps that histogram as integer counts. Its formulas are compiled once into
 a function of a world's bits, memoized on the bits of the atoms they
 mention (at most CELL_MEMO_SIZE entries). ``update`` looks one world up
@@ -38,7 +41,6 @@ regime, floats included.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -47,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, ModelDistribution
-from .formulas import Atom, Formula, Not
+from .formulas import Formula
 from .signature import Signature
 from .worlds import World, _bit, compile_formula, pack, truth
 from .worlds import evaluate  # unused here: perfbench counts calls through engine.evaluate
@@ -111,26 +113,14 @@ class Query:
     premises: tuple[Formula, ...] = ()
 
 
-def _scores(formulas, words: np.ndarray, index) -> np.ndarray:
-    """Per row, how many formula occurrences hold: literals by masked popcount,
-    one pass per multiplicity, other formulas by their truth column."""
-    s = np.zeros(len(words), dtype=np.int64)
-    masks: dict[int, list[int]] = {}  # multiplicity -> [atom bits, negated-atom bits]
-    for f, k in Counter(formulas).items():
-        negated = isinstance(f, Not) and isinstance(f.body, Atom)
-        atom = f.body if negated else f
-        j = index.get(atom.key()) if isinstance(atom, Atom) else None
-        if j is None:
-            s += k * truth(f, words, index)  # raises for an unknown atom
-        else:
-            masks.setdefault(k, [0, 0])[negated] |= 1 << j
-    for k, (pos, neg) in masks.items():
-        # each mask as one row of words, atom 64k + b at bit b of word k
-        pos, neg = (np.frombuffer(m.to_bytes(8 * words.shape[1], "little"), dtype="<u8")
-                    .astype(np.uint64) for m in (pos, neg))
-        hits = np.bitwise_count(words & pos) + np.bitwise_count(~words & neg)
-        s += k * hits.sum(axis=1, dtype=np.int64)
-    return s
+def _truths(formulas, words: np.ndarray, index) -> np.ndarray:
+    """One ``truth`` column per formula occurrence, in order: a bool matrix of
+    shape (rows, len(formulas)). A repeated formula is evaluated once per
+    occurrence; no formulas give a (rows, 0) matrix."""
+    t = np.empty((len(formulas), len(words)), dtype=bool)
+    for j, f in enumerate(formulas):
+        t[j] = truth(f, words, index)  # a contiguous write; callers read the transpose
+    return t.T
 
 
 def _histogram(premises, conclusions, source) -> list[list]:
@@ -139,8 +129,8 @@ def _histogram(premises, conclusions, source) -> list[list]:
     if not isinstance(source, (Dataset, ModelDistribution)):
         raise TypeError("source must be a Dataset or a ModelDistribution")
     index = source.signature.atom_index
-    s = _scores(premises, source.words, index)
-    c = _scores(conclusions, source.words, index)
+    s = _truths(premises, source.words, index).sum(axis=1)
+    c = _truths(conclusions, source.words, index).sum(axis=1)
     hist = np.zeros((len(premises) + 1, len(conclusions) + 1), dtype=source.masses.dtype)
     np.add.at(hist, (s, c), source.masses)
     den = source.denominator
@@ -235,7 +225,7 @@ def _posterior(premises, source, regime, weighted: bool):
     order; else exact, equal shares being one Fraction. UNDEFINED at total 0.
     """
     premises = tuple(premises)
-    s = _scores(premises, source.words, source.signature.atom_index)
+    s = _truths(premises, source.words, source.signature.atom_index).sum(axis=1)
     live = s[source.positive]
     table = _weights(regime, len(premises), int(live.min()), int(live.max()))
     masses = source.masses
@@ -415,7 +405,7 @@ def possible_entails(premises: Sequence[Formula], alpha: Formula,
 
 
 def _entails(premises, alpha, words, index) -> bool:
-    hold = _scores(premises, words, index) == len(premises)
+    hold = _truths(premises, words, index).all(axis=1)
     return not (hold & ~truth(alpha, words, index)).any()
 
 
@@ -431,9 +421,7 @@ def _maximal_subsets(premises, words, index):
     """The maximal satisfied premise sets over the rows of packed words, and
     the rows that reach the maximal count."""
     formulas = list(dict.fromkeys(premises))  # set semantics
-    sat = np.zeros((len(words), len(formulas)), dtype=bool)
-    for j, f in enumerate(formulas):
-        sat[:, j] = truth(f, words, index)
+    sat = _truths(formulas, words, index)
     n = sat.sum(axis=1)
     rows = np.flatnonzero(n == n.max())
     subsets = frozenset(frozenset(f for f, hold in zip(formulas, pattern) if hold)

@@ -430,14 +430,19 @@ def locate_idx_files(root=None):
     return None
 
 
-def load_split(root=None, synthetic_dir="data/synthetic-mnist", seed: int = 0):
+# Where the default search writes its synthetic fallback, and from which seed.
+SYNTHETIC_DIR = "data/synthetic-mnist"
+SYNTHETIC_SEED = 0
+
+
+def load_split(root=None):
     """The train/test image sets: real idx files when present, else synthetic.
 
     Returns (train, test, synthetic) where the flag records the fallback.
     An explicitly given root must hold the files; only the default search
     (environment variable, then ./data/mnist) may fall back to synthetic
-    digits, written once under synthetic_dir with the classic idx names and
-    reused on later calls.
+    digits, written once under SYNTHETIC_DIR from SYNTHETIC_SEED with the
+    classic idx names and reused on later calls.
     """
     found = locate_idx_files(root)
     synthetic = False
@@ -445,10 +450,10 @@ def load_split(root=None, synthetic_dir="data/synthetic-mnist", seed: int = 0):
         raise OSError(f"no idx files under {os.fspath(root)}")
     if found is None:
         from .synthdata import ensure_synthetic_idx
-        ensure_synthetic_idx(synthetic_dir, seed=seed)
-        found = locate_idx_files(synthetic_dir)
+        ensure_synthetic_idx(SYNTHETIC_DIR, seed=SYNTHETIC_SEED)
+        found = locate_idx_files(SYNTHETIC_DIR)
         if found is None:
-            raise OSError(f"could not provision image files under {synthetic_dir}")
+            raise OSError(f"could not provision image files under {SYNTHETIC_DIR}")
         synthetic = True
     train = load_image_set(found["train_images"], found["train_labels"])
     test = load_image_set(found["test_images"], found["test_labels"])

@@ -60,7 +60,8 @@ class World:
             )
         if set(text) - {"0", "1"}:
             raise ValueError(f"bit string must be 0s and 1s, got {text!r}")
-        return cls.from_truths(sig, [int(c) for c in text])
+        # checked first: int() would also take "_", whitespace and a sign
+        return cls(sig, int(text[::-1] or "0", 2))
 
     def __eq__(self, other):
         if not isinstance(other, World):

@@ -266,6 +266,21 @@ def test_cli_deep_formula_is_data_error(desk, capsys, query):
     assert (rc, out, err) == (2, "", "error: formula nested too deeply\n")
 
 
+def test_cli_wide_quantifier_answers(tmp_path, capsys):
+    """A quantifier over 600 constants grounds to a 600-deep conjunction;
+    scoring it must not recurse past Python's limit."""
+    names = [f"c{i}" for i in range(600)]
+    sig = tmp_path / "wide.sig"
+    sig.write_text("prop r\npred p/1\n" + "".join(f"const {c}\n" for c in names))
+    atoms = ["r", *(f"p({c})" for c in names)]
+    data = tmp_path / "wide.csv"
+    data.write_text(",".join(atoms) + "\n" + ",".join(["1"] * len(atoms)) + "\n"
+                    + ",".join(["0"] * len(atoms)) + "\n")
+    rc, out, err = run(capsys, "infer", "r | forall x. p(x)", "--signature", str(sig),
+                       "--data", str(data))
+    assert (rc, out, err) == (0, "1\n", "")
+
+
 # -- mnist subcommands ---------------------------------------------------------------
 
 

@@ -88,6 +88,25 @@ def test_distribution_normalizes_near_one(rain_sig):
     assert isinstance(dist.weights[0], Fraction)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_distribution_mixed_texts_and_zeros(exact):
+    # two texts of one value, a repeated text, a listed 0, three unlisted rows;
+    # the total 1 + 2e-10 divides every listed weight
+    sig = Signature(propositions=("p", "q", "r"))
+    text = "000 1/2\n001 0.5\n010 0.0000000001\n011 0.0000000001\n100 0\n"
+    dist = distribution_from_text(text, sig, exact=exact)
+    total = 1 + Fraction(2, 10**10)
+    want = [Fraction(1, 2) / total] * 2 + [Fraction(1, 10**10) / total] * 2 + [0] * 4
+    if exact:
+        assert dist.weights == tuple(want)
+        assert all(type(w) is Fraction for w in dist.weights)
+        assert sum(dist.weights) == 1
+    else:
+        assert dist.weights == tuple(float(w) for w in want)
+        assert all(type(w) is float for w in dist.weights)
+    assert dist.support() == [World.from_bitstring(sig, b) for b in ("000", "001", "010", "011")]
+
+
 def test_distribution_float_mode(rain_sig):
     dist = distribution_from_text("00 0.25\n11 0.75\n", rain_sig, exact=False)
     assert dist.weights[0] == 0.25 and isinstance(dist.weights[0], float)

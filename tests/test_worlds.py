@@ -44,6 +44,19 @@ def test_world_bits_out_of_range():
         World(SIG3, 8)
     with pytest.raises(ValueError):
         World(SIG3, -1)
+    # int() would read these as numbers; the bit-string checks come first
+    for text in ("0_1", " 01", "-1 "):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            World.from_bitstring(SIG3, text)
+    with pytest.raises(ValueError, match="0s and 1s"):
+        World.from_bitstring(Signature(propositions=("p", "q")), "-1")
+    with pytest.raises(ValueError, match="2 characters"):
+        World.from_bitstring(SIG3, "-1")
+    # round trips at 0 atoms and past one 64-bit word
+    wide = Signature(propositions=tuple(f"x{i}" for i in range(70)))
+    for sig, bits in ((Signature(), 0), (wide, 0), (wide, 1 << 69 | 0b1011), (wide, (1 << 70) - 1)):
+        w = World(sig, bits)
+        assert World.from_bitstring(sig, w.bitstring()) == w
 
 
 def test_world_equality_and_hash(rain_sig):
