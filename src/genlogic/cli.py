@@ -193,12 +193,18 @@ def cmd_mnist(args) -> int:
         if args.index < 0:
             raise UsageError("--index must be a non-negative integer")
     if args.task == "curve":
+        if args.one:
+            raise UsageError("the curve needs --limit or --mu, not --one")
         # the limit predictor plus a fixed-mu predictor per --mu item
         items = ["4/5"] if args.mu is None else args.mu.split(",")
-        regimes = [ONE] if args.one else [_mu_regime(item, args.exact) for item in items]
+        regimes = [_mu_regime(item, args.exact) for item in items]
         if ONE in regimes:
-            raise UsageError("the curve needs --limit or --mu, not --one")
+            raise UsageError("--mu values for the curve must lie in (0,1)")
         sizes, ks = _int_list(args.sizes), _int_list(args.k)
+        if min(sizes) < 1:
+            raise UsageError("--sizes must be positive integers")
+        if not all(1 <= k <= min(sizes) for k in ks):
+            raise UsageError(f"every --k must lie in 1..{min(sizes)}")
     train, test, synthetic = load_split(args.mnist_dir)
     if synthetic:
         print("note: no idx files found, using bundled synthetic digits",

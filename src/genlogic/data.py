@@ -8,7 +8,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from numbers import Rational
 
 import numpy as np
@@ -17,37 +16,21 @@ from .signature import Signature
 from .worlds import World, enumerate_worlds, pack
 
 
-class _Packed:
-    """The array form the engine scores, built on first use: packed ``words``,
-    ``masses`` as integer numerators over ``denominator`` (int64 while they sum
-    below 2**63, so no partial sum overflows, else Python ints; float64 over 1
-    when any weight is not rational) and the ``positive`` mask of mass > 0.
-    """
-
-    @cached_property
-    def words(self) -> np.ndarray:
-        return pack((w.bits for w in self._columns()[0]), self.signature.n_atoms)
-
-    @cached_property
-    def _numerators(self) -> tuple[np.ndarray, int]:
-        values = self._columns()[1]
-        if not all(isinstance(v, Rational) for v in values):
-            return np.array([float(v) for v in values]), 1
-        den = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        return np.array(nums, dtype=np.int64 if sum(nums) < 2**63 else object), den
-
-    masses = property(lambda self: self._numerators[0])
-    denominator = property(lambda self: self._numerators[1])
-
-    @cached_property
-    def positive(self) -> np.ndarray:
-        return np.asarray(self.masses > 0, dtype=bool)
+def _pack(source, worlds, masses, denominator: int = 1) -> None:
+    """Set the arrays the engine reads on a frozen source at construction:
+    packed ``words``, ``masses`` over ``denominator`` and the ``positive`` mask.
+    Integer masses are int64 while they sum below 2**63, so no partial sum
+    overflows, else Python ints."""
+    if isinstance(masses, list):
+        masses = np.array(masses, dtype=np.int64 if sum(masses) < 2**63 else object)
+    source.__dict__.update(words=pack((w.bits for w in worlds), source.signature.n_atoms),
+                           masses=masses, denominator=denominator, positive=masses > 0)
 
 
 @dataclass(frozen=True)
-class Dataset(_Packed):
-    """Multiset of observed worlds, kept as (world, multiplicity) entries."""
+class Dataset:
+    """Multiset of observed worlds, kept as (world, multiplicity) entries;
+    the multiplicities are the masses ``_pack`` sets, over 1."""
 
     entries: tuple[tuple[World, int], ...]
 
@@ -60,6 +43,7 @@ class Dataset(_Packed):
                 raise ValueError("dataset entries mix signatures")
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {count!r}")
+        _pack(self, [w for w, _ in self.entries], [c for _, c in self.entries])
 
     @property
     def signature(self) -> Signature:
@@ -81,9 +65,6 @@ class Dataset(_Packed):
     def extended(self, world: World, count: int = 1) -> "Dataset":
         """A new dataset with one more entry appended."""
         return Dataset(self.entries + ((world, count),))
-
-    def _columns(self):
-        return [w for w, _ in self.entries], [c for _, c in self.entries]
 
 
 def dataset_from_csv(text: str, sig: Signature) -> Dataset:
@@ -146,11 +127,12 @@ def read_dataset_csv(path, sig: Signature) -> Dataset:
 
 
 @dataclass(frozen=True)
-class ModelDistribution(_Packed):
+class ModelDistribution:
     """Probability weights over an explicit list of worlds.
 
     Weights must be nonnegative and sum to one: exactly so when every
-    weight is rational, within 1e-12 otherwise.
+    weight is rational, within 1e-12 otherwise. ``_pack`` sets rational
+    weights as numerators over their lcm denominator, others as float64 over 1.
     """
 
     worlds: tuple[World, ...]
@@ -161,22 +143,27 @@ class ModelDistribution(_Packed):
             raise ValueError("a distribution needs at least one world")
         if len(self.worlds) != len(self.weights):
             raise ValueError("worlds and weights differ in length")
+        if all(isinstance(wt, Rational) for wt in self.weights):
+            den = math.lcm(*(wt.denominator for wt in self.weights))
+            nums = [wt.numerator * (den // wt.denominator) for wt in self.weights]
+            negative = [wt for wt, num in zip(self.weights, nums) if num < 0]
+            if negative:
+                raise ValueError(f"negative or nan weight {negative[0]!r}")
+            if sum(nums) != den:
+                raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, expected exactly 1")
+            _pack(self, self.worlds, nums, den)
+            return
         for wt in self.weights:
             if not wt >= 0:  # also rejects nan
                 raise ValueError(f"negative or nan weight {wt!r}")
         total = sum(self.weights)
-        if all(isinstance(wt, Rational) for wt in self.weights):
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, expected exactly 1")
-        elif abs(total - 1) > 1e-12:
+        if abs(total - 1) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, expected 1 within 1e-12")
+        _pack(self, self.worlds, np.array([float(wt) for wt in self.weights]))
 
     @property
     def signature(self) -> Signature:
         return self.worlds[0].signature
-
-    def _columns(self):
-        return self.worlds, self.weights
 
     def support(self) -> list[World]:
         """The possible worlds: those with nonzero weight."""
@@ -190,7 +177,7 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
     worlds not mentioned get weight zero. Weights may be decimals or
     fractions like 2/5. They must sum to 1 within 1e-9 and are divided by
     their exact sum, so the result is exactly normalized. With exact=False
-    the weights become floats.
+    the weights become floats, and a positive one that rounds to 0.0 raises.
     """
     worlds = enumerate_worlds(sig)
     rows: dict[int, str] = {}  # row in enumerate_worlds order -> weight text
@@ -222,6 +209,9 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
     if abs(total - 1) > Fraction(1, 10**9):
         raise ValueError(f"weights sum to {float(total)}, expected 1 within 1e-9")
     share = {t: v / total if exact else float(v / total) for t, v in parsed.items()}
+    for t, v in share.items():
+        if v == 0 < parsed[t]:  # a positive weight too small for a float
+            raise ValueError(f"weight {t} rounds to 0.0 as a float")
     weights = [Fraction(0) if exact else 0.0] * len(worlds)  # unlisted rows share one zero
     for i, t in rows.items():
         weights[i] = share[t]

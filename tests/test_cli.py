@@ -101,6 +101,15 @@ def test_infer_distribution_source(desk, capsys):
     assert rc == 0 and out == "1\n"
 
 
+def test_infer_float_rejects_a_weight_that_rounds_to_zero(desk, tmp_path, capsys):
+    tiny = tmp_path / "tiny.dist"
+    tiny.write_text("11 1e-400\n00 1\n")
+    argv = ("infer", "rain | rain", "--signature", str(desk / "rain.sig"), "--dist", str(tiny))
+    assert run(capsys, *argv) == (0, "1\n", "")
+    rc, out, err = run(capsys, *argv, "--float")
+    assert rc == 2 and out == "" and err == "error: weight 1e-400 rounds to 0.0 as a float\n"
+
+
 def test_infer_default_regime_is_limit(desk, capsys):
     rc_default, out_default, _ = run(
         capsys, "infer", "rain | rain; wet; ~wet",
@@ -455,11 +464,11 @@ def test_mu_list_only_on_curve(desk, mnist_dir, tmp_path, capsys):
 
 
 def test_mnist_curve_rejects_strict_regime(mnist_dir, tmp_path, capsys):
-    rc, _, _ = run(
+    rc, _, err = run(
         capsys, "mnist", "curve", "--mnist-dir", str(mnist_dir),
         "--one", "--out", str(tmp_path),
     )
-    assert rc == 1
+    assert rc == 1 and err == "error: the curve needs --limit or --mu, not --one\n"
 
 
 def test_mnist_missing_dir_is_data_error(tmp_path, capsys):
@@ -475,9 +484,12 @@ def test_mnist_missing_dir_is_data_error(tmp_path, capsys):
     ("predict", "--mu", "3/2"), ("predict", "--train", "0"), ("generate", "--train", "-5"),
     ("curve", "--test", "0"), ("predict", "--index", "-1"), ("generate", "--threshold", "0"),
     ("predict", "--threshold", "256"), ("curve", "--threshold", "300"),
+    ("curve", "--mu", "0.5,1"), ("curve", "--sizes", "0"), ("curve", "--k", "0"),
+    ("curve", "--sizes", "5", "--k", "6"),
 ], ids=["curve-mu", "curve-sizes", "curve-k", "predict-mu", "predict-train",
         "generate-train", "curve-test", "predict-index", "generate-threshold",
-        "predict-threshold", "curve-threshold"])
+        "predict-threshold", "curve-threshold", "curve-mu-one", "curve-sizes-zero",
+        "curve-k-zero", "curve-k-past-sizes"])
 def test_mnist_bad_flag_fails_before_loading(tmp_path, monkeypatch, capsys, argv):
     # with no idx files in reach, a load would write synthetic digits under ./data
     monkeypatch.chdir(tmp_path)
@@ -492,6 +504,14 @@ def test_mnist_bad_flag_fails_before_loading(tmp_path, monkeypatch, capsys, argv
         assert err == "error: --threshold must lie in 1..255\n"
     if argv[1] == "--index":
         assert err == "error: --index must be a non-negative integer\n"
+    expected = {
+        ("--mu", "0.5,1"): "error: --mu values for the curve must lie in (0,1)\n",
+        ("--sizes", "0"): "error: --sizes must be positive integers\n",
+        ("--k", "0"): "error: every --k must lie in 1..100\n",
+        ("--sizes", "5"): "error: every --k must lie in 1..5\n",
+    }.get(argv[1:3])
+    if expected is not None:
+        assert err == expected
 
 
 def test_mnist_bad_sizes_flag(mnist_dir, tmp_path, capsys):

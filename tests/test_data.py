@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from genlogic import (
@@ -112,6 +113,14 @@ def test_distribution_float_mode(rain_sig):
     assert dist.weights[0] == 0.25 and isinstance(dist.weights[0], float)
 
 
+def test_distribution_float_mode_keeps_every_possible_world(rain_sig):
+    # 1e-400 is a possible world in exact mode; as a float it would be 0.0
+    text = "11 1e-400\n00 1\n"
+    assert distribution_from_text(text, rain_sig).positive.tolist() == [True, False, False, True]
+    with pytest.raises(ValueError, match="weight 1e-400 rounds to 0.0"):
+        distribution_from_text(text, rain_sig, exact=False)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -132,10 +141,28 @@ def test_model_distribution_validation(rain_sig):
     ws = tuple(enumerate_worlds(rain_sig))
     with pytest.raises(ValueError, match="sum to"):
         ModelDistribution(ws, (Fraction(1, 2), 0, 0, 0))
+    with pytest.raises(ValueError) as exc:
+        ModelDistribution(ws, (Fraction(1, 2), Fraction(1, 4), 0, Fraction(1, 8)))
+    assert str(exc.value) == "weights sum to 7/8, expected exactly 1"
+    with pytest.raises(ValueError) as exc:
+        ModelDistribution(ws, (1, 1, 0, 0))
+    assert str(exc.value) == "weights sum to 2, expected exactly 1"
     with pytest.raises(ValueError, match="negative"):
         ModelDistribution(ws, (Fraction(3, 2), Fraction(-1, 2), 0, 0))
+    # a negative int among Fractions, reported by its repr
+    with pytest.raises(ValueError) as exc:
+        ModelDistribution(ws, (Fraction(1, 2), Fraction(1, 2), 1, -1))
+    assert str(exc.value) == "negative or nan weight -1"
     with pytest.raises(ValueError, match="nan"):
         ModelDistribution(ws, (float("nan"), 1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="nan"):
+        ModelDistribution(ws, (0.5, float("nan"), 0.5, 0.0))
+    # one float among Fractions takes the float path and its tolerance
+    mixed = ModelDistribution(ws, (Fraction(1, 2), 0.25 + 1e-13, Fraction(1, 4), 0))
+    assert mixed.masses.dtype == np.float64 and mixed.denominator == 1
+    with pytest.raises(ValueError) as exc:
+        ModelDistribution(ws, (Fraction(1, 2), 0.25, Fraction(1, 8), 0))
+    assert str(exc.value) == "weights sum to 0.875, expected 1 within 1e-12"
     with pytest.raises(ValueError, match="length"):
         ModelDistribution(ws, (Fraction(1),))
     # float weights get a tolerance

@@ -9,15 +9,22 @@ stated 1/1000 bound between the limit regime and mu = 1 - 1e-6.
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from genlogic import (
     LIMIT_ONE,
     ONE,
     UNDEFINED,
     And,
+    ModelDistribution,
     Not,
     Or,
     Query,
+    Signature,
     cond_prob,
+    enumerate_worlds,
     evaluate,
     fixed,
     joint_prob,
@@ -232,3 +239,20 @@ def test_dataset_equals_its_mle_distribution():
         assert cond_prob(Query(alpha, prem), data, regime) == cond_prob(
             Query(alpha, prem), dist, regime
         )
+
+
+# small and past-int64 denominators, so both mass dtypes are drawn
+_WEIGHT = st.builds(Fraction, st.integers(0, 7),
+                    st.one_of(st.integers(1, 60), st.integers(2**31, 2**64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WEIGHT, min_size=8, max_size=8).filter(any))
+def test_masses_are_the_weights_as_numerators(raw):
+    weights = tuple(w / sum(raw) for w in raw)
+    dist = ModelDistribution(tuple(enumerate_worlds(Signature(propositions=("p", "q", "r")))),
+                             weights)
+    nums = dist.masses.tolist()
+    assert all(Fraction(m, dist.denominator) == w for m, w in zip(nums, weights))
+    assert (dist.masses.dtype == np.int64) == (sum(nums) < 2**63)
+    assert dist.positive.tolist() == [w > 0 for w in weights]
