@@ -94,6 +94,8 @@ def _mu_regime(text: str, exact: bool) -> Regime:
         return ONE
     if not 0 < mu < 1:
         raise UsageError("--mu must lie in (0,1], e.g. 0.8 or 4/5")
+    if not exact and not 0 < float(mu) < 1:
+        raise UsageError(f"--mu {text} rounds to {float(mu)} as a float")
     return fixed(mu if exact else float(mu))
 
 

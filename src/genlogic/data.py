@@ -13,7 +13,8 @@ from numbers import Rational
 import numpy as np
 
 from .signature import Signature
-from .worlds import World, enumerate_worlds, pack
+from .worlds import World, pack
+from .worlds import enumerate_worlds  # unused here: perfbench wraps data.enumerate_worlds
 
 
 def _pack(source, worlds, masses, denominator: int = 1) -> None:
@@ -171,16 +172,15 @@ class ModelDistribution:
 
 
 def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> ModelDistribution:
-    """Parse ``bitstring weight`` lines over the signature's enumerated worlds.
+    """Parse ``bitstring weight`` lines into a distribution over the listed worlds.
 
-    The bit string lists atom values in signature order (atom 0 first);
-    worlds not mentioned get weight zero. Weights may be decimals or
-    fractions like 2/5. They must sum to 1 within 1e-9 and are divided by
-    their exact sum, so the result is exactly normalized. With exact=False
-    the weights become floats, and a positive one that rounds to 0.0 raises.
+    Atom values are in signature order (atom 0 first); only the listed worlds
+    are kept, sorted by bit string. Weights (decimals or fractions like 2/5)
+    must sum to 1 within 1e-9 and are divided by their exact sum. With
+    exact=False they become floats, and a positive one that rounds to 0.0 raises.
     """
-    worlds = enumerate_worlds(sig)
-    rows: dict[int, str] = {}  # row in enumerate_worlds order -> weight text
+    worlds: dict[int, World] = {}  # enumeration row -> world
+    rows: dict[int, str] = {}  # enumeration row -> weight text
     parsed: dict[str, Fraction] = {}  # equal weight texts parse once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -191,13 +191,12 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
             raise ValueError(f"line {lineno}: expected 'bits weight', got {raw!r}")
         bits_text, weight_text = fields
         try:
-            World.from_bitstring(sig, bits_text)
+            world = World.from_bitstring(sig, bits_text)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        i = int(bits_text, 2)
-        if i in rows:
+        if (i := int(bits_text, 2)) in rows:
             raise ValueError(f"line {lineno}: world {bits_text} listed twice")
-        rows[i] = weight_text
+        worlds[i], rows[i] = world, weight_text
         if weight_text not in parsed:
             try:
                 parsed[weight_text] = Fraction(weight_text)
@@ -212,10 +211,8 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
     for t, v in share.items():
         if v == 0 < parsed[t]:  # a positive weight too small for a float
             raise ValueError(f"weight {t} rounds to 0.0 as a float")
-    weights = [Fraction(0) if exact else 0.0] * len(worlds)  # unlisted rows share one zero
-    for i, t in rows.items():
-        weights[i] = share[t]
-    return ModelDistribution(tuple(worlds), tuple(weights))
+    order = sorted(rows)
+    return ModelDistribution(tuple(map(worlds.get, order)), tuple(share[rows[i]] for i in order))
 
 
 def read_distribution(path, sig: Signature, exact: bool = True) -> ModelDistribution:

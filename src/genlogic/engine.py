@@ -2,7 +2,7 @@
 
 A query asks for the probability of a conclusion given a multiset of premise
 formulas. Probability mass comes either from an explicit distribution over
-enumerated worlds or from a dataset of observations, in which case the
+its listed worlds or from a dataset of observations, in which case the
 relative-frequency weights are used implicitly and never materialized.
 Premises act through per-world Bernoulli likelihood factors: a formula
 contributes mu when it holds at a world and 1 - mu when it does not, and

@@ -218,6 +218,9 @@ def test_cli_usage_errors_from_validation(desk, capsys):
         ("infer", "rain | wet", *sig, *data, "--mu", "zero"),
         ("infer", "rain | wet", *sig, *data, "--mu", "0"),
         ("infer", "rain | wet", *sig, *data, "--mu", "3/2"),
+        # inside (0,1) exactly, but 1.0 and 0.0 as floats
+        ("infer", "wet | rain", *sig, *data, "--mu", "0.99999999999999999", "--float"),
+        ("infer", "wet | rain", *sig, *data, "--mu", "1e-400", "--float"),
         ("entail", "rain | wet", "--mode", "gc", *sig, *data),  # no theta
         ("entail", "rain | wet", "--mode", "gc", *sig, *data, "--theta", "1/2"),
         ("entail", "rain; wet", "--mode", "mps", *sig),  # no dist
@@ -288,6 +291,27 @@ def test_cli_wide_quantifier_answers(tmp_path, capsys):
     rc, out, err = run(capsys, "infer", "r | forall x. p(x)", "--signature", str(sig),
                        "--data", str(data))
     assert (rc, out, err) == (0, "1\n", "")
+
+
+def test_cli_distribution_past_the_enumeration_cap(tmp_path, capsys):
+    """A --dist file stores only its listed worlds, so infer and entail
+    possible|mps|gc answer on 40 atoms; mcs still enumerates and refuses."""
+    sig = tmp_path / "wide.sig"
+    sig.write_text("".join(f"prop a{j}\n" for j in range(40)))
+    dist = tmp_path / "wide.dist"
+    dist.write_text("11" + "0" * 38 + " 3/4\n" + "0" * 40 + " 1/4\n")
+    files = ("--signature", str(sig), "--dist", str(dist))
+    cases = [
+        (("infer", "a1 | a0; ~a0"), "3/4\n"),
+        (("infer", "a1 | a0; ~a0", "--float"), "0.75\n"),
+        (("entail", "a1 | a0", "--mode", "possible"), "yes\n"),
+        (("entail", "a0; ~a0; a1", "--mode", "mps"), "{a0, a1}\n"),
+        (("entail", "a1 | a0; ~a0", "--mode", "gc", "--theta", "3/5"), "yes\n"),
+    ]
+    for argv, want in cases:
+        assert run(capsys, *argv, *files) == (0, want, ""), argv
+    rc, out, err = run(capsys, "entail", "a0; ~a0", "--mode", "mcs", "--signature", str(sig))
+    assert (rc, out, err) == (2, "", "error: 40 atoms exceeds the enumeration cap of 20\n")
 
 
 # -- mnist subcommands ---------------------------------------------------------------
@@ -441,7 +465,8 @@ def test_mnist_curve_repeated_values_count_once(mnist_dir, tmp_path, capsys,
             == _curve_files(capsys, mnist_dir, tmp_path / "b", *once))
 
 
-@pytest.mark.parametrize("text", ["0", "1", "3/2", "-0.5", "nan", "x", "1/0", "0.8,"])
+@pytest.mark.parametrize("text", ["0", "1", "3/2", "-0.5", "nan", "x", "1/0", "0.8,",
+                                  "0.99999999999999999", "1e-400"])
 def test_mnist_curve_bad_mu_exits_1(mnist_dir, tmp_path, capsys, text):
     rc, _, err = run(
         capsys, "mnist", "curve", "--mnist-dir", str(mnist_dir),

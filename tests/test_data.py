@@ -2,16 +2,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genlogic import (
+    LIMIT_ONE,
+    ONE,
     Dataset,
     ModelDistribution,
+    Query,
     Signature,
     World,
+    cond_prob,
     dataset_from_csv,
     distribution_from_text,
     enumerate_worlds,
+    fixed,
+    mps,
+    possible_entails,
+    posterior_models,
 )
+
+from helpers import random_formula, random_premises
 
 
 def test_dataset_from_csv_basic(rain_sig):
@@ -75,10 +87,10 @@ def test_dataset_helpers(rain_sig):
 
 
 def test_distribution_from_text(rain_sig):
+    # only the listed worlds are stored, in enumeration order
     dist = distribution_from_text("# comment\n11 2/5\n00 0.6\n", rain_sig)
-    assert dist.weights[3] == Fraction(2, 5)
-    assert dist.weights[0] == Fraction(3, 5)
-    assert dist.weights[1] == dist.weights[2] == 0
+    assert [w.bitstring() for w in dist.worlds] == ["00", "11"]
+    assert dist.weights == (Fraction(3, 5), Fraction(2, 5))
     assert sum(dist.weights) == 1
 
 
@@ -91,13 +103,15 @@ def test_distribution_normalizes_near_one(rain_sig):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_distribution_mixed_texts_and_zeros(exact):
-    # two texts of one value, a repeated text, a listed 0, three unlisted rows;
-    # the total 1 + 2e-10 divides every listed weight
+    # two texts of one value, a repeated text, a listed 0 that stays stored,
+    # three unlisted worlds that are not; the total 1 + 2e-10 divides every
+    # listed weight
     sig = Signature(propositions=("p", "q", "r"))
-    text = "000 1/2\n001 0.5\n010 0.0000000001\n011 0.0000000001\n100 0\n"
+    text = "100 0\n000 1/2\n001 0.5\n010 0.0000000001\n011 0.0000000001\n"
     dist = distribution_from_text(text, sig, exact=exact)
     total = 1 + Fraction(2, 10**10)
-    want = [Fraction(1, 2) / total] * 2 + [Fraction(1, 10**10) / total] * 2 + [0] * 4
+    want = [Fraction(1, 2) / total] * 2 + [Fraction(1, 10**10) / total] * 2 + [0]
+    assert [w.bitstring() for w in dist.worlds] == ["000", "001", "010", "011", "100"]
     if exact:
         assert dist.weights == tuple(want)
         assert all(type(w) is Fraction for w in dist.weights)
@@ -116,7 +130,9 @@ def test_distribution_float_mode(rain_sig):
 def test_distribution_float_mode_keeps_every_possible_world(rain_sig):
     # 1e-400 is a possible world in exact mode; as a float it would be 0.0
     text = "11 1e-400\n00 1\n"
-    assert distribution_from_text(text, rain_sig).positive.tolist() == [True, False, False, True]
+    dist = distribution_from_text(text, rain_sig)
+    assert [w.bitstring() for w in dist.worlds] == ["00", "11"]
+    assert dist.positive.tolist() == [True, True]
     with pytest.raises(ValueError, match="weight 1e-400 rounds to 0.0"):
         distribution_from_text(text, rain_sig, exact=False)
 
@@ -175,3 +191,41 @@ def test_support_and_all_positive(gap_dist, fig_dist):
     assert not gap_dist.positive.all()
     assert fig_dist.positive.all()
     assert [w.bitstring() for w in gap_dist.support()] == ["00", "10", "11"]
+
+
+_SIG4 = Signature(propositions=("a0", "a1", "a2", "a3"))
+# (enumeration row, weight numerator) pairs in file order, at least one positive
+_LINES = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 7)), min_size=1,
+                  max_size=16, unique_by=lambda line: line[0]).filter(
+    lambda lines: any(num for _, num in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES, st.randoms(use_true_random=False), st.booleans())
+def test_listed_distribution_answers_as_the_dense_one(lines, rng, exact):
+    # the listed worlds alone against all 16 with the unlisted ones at zero
+    total = sum(num for _, num in lines)
+    text = "".join(f"{row:04b} {num}/{total}\n" for row, num in lines)
+    listed = distribution_from_text(text, _SIG4, exact=exact)
+    dense_weights = [Fraction(0)] * 16
+    for row, num in lines:
+        dense_weights[row] = Fraction(num, total)
+    if not exact:
+        dense_weights = [float(wt) for wt in dense_weights]
+    dense = ModelDistribution(tuple(enumerate_worlds(_SIG4)), tuple(dense_weights))
+    rows = sorted(row for row, _ in lines)
+    assert [int(w.bitstring(), 2) for w in listed.worlds] == rows
+    alpha = random_formula(rng, _SIG4)
+    premises = random_premises(rng, _SIG4)
+    for regime in (ONE, LIMIT_ONE, fixed(Fraction(4, 5)), fixed(0.8)):
+        assert (cond_prob(Query(alpha, premises), listed, regime)
+                == cond_prob(Query(alpha, premises), dense, regime))
+        got = posterior_models(premises, listed, regime)
+        want = posterior_models(premises, dense, regime)
+        if isinstance(want, tuple):
+            assert list(got) == [want[r] for r in rows]
+            assert not any(want[r] for r in set(range(16)) - set(rows))
+        else:
+            assert got == want
+    assert possible_entails(premises, alpha, listed) == possible_entails(premises, alpha, dense)
+    assert mps(premises, listed) == mps(premises, dense)
