@@ -46,9 +46,7 @@ from .formulas import (
     Or,
     Var,
     ground,
-    is_ground,
     pretty,
-    substitute,
 )
 from .parser import ParseError, parse_formula, parse_premises, parse_query
 from .signature import Signature
@@ -63,9 +61,9 @@ __all__ = [
     "SubsetAnalysis", "TooManyAtoms", "UNDEFINED", "Undefined", "Var", "World",
     "classical_entails", "cond_prob", "cond_prob_multi", "dataset_from_csv",
     "distribution_from_text", "enumerate_worlds", "evaluate", "fixed",
-    "generative_consequence", "ground", "is_ground", "joint_prob", "mcs",
+    "generative_consequence", "ground", "joint_prob", "mcs",
     "mle_distribution", "mps", "parse_formula", "parse_premises",
     "parse_query", "posterior_data", "posterior_models", "possible_entails",
     "pretty", "prob", "read_dataset_csv", "read_distribution",
-    "running_estimate", "substitute", "update",
+    "running_estimate", "update",
 ]

@@ -111,7 +111,7 @@ def dataset_from_csv(text: str, sig: Signature) -> Dataset:
         count = 1
         if has_count:
             last = cells[-1]
-            if not last.isdigit() or int(last) < 1:
+            if not last.isdecimal() or int(last) < 1:
                 raise ValueError(
                     f"row {lineno}: count must be a positive integer, got {last!r}"
                 )

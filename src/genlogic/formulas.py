@@ -97,65 +97,36 @@ class Exists(Formula):
     body: Formula
 
 
-def substitute(f: Formula, var: str, value: Const) -> Formula:
-    """Replace free occurrences of the variable with a constant."""
-    match f:
-        case Atom(name, args):
-            new_args = tuple(
-                value if isinstance(t, Var) and t.name == var else t for t in args
-            )
-            return Atom(name, new_args)
-        case Not(body):
-            return Not(substitute(body, var, value))
-        case Binary(l, r):
-            return type(f)(substitute(l, var, value), substitute(r, var, value))
-        case Forall(v, body) | Exists(v, body):
-            if v == var:  # inner binder shadows
-                return f
-            return type(f)(v, substitute(body, var, value))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def is_ground(f: Formula) -> bool:
-    """True when the formula has no quantifiers and no variables."""
-    match f:
-        case Atom(_, args):
-            return all(isinstance(t, Const) for t in args)
-        case Not(body):
-            return is_ground(body)
-        case Binary(l, r):
-            return is_ground(l) and is_ground(r)
-        case Forall() | Exists():
-            return False
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def ground(f: Formula, sig: Signature) -> Formula:
     """Expand quantifiers over the declared constants.
 
     A universal becomes the conjunction of its body instantiated at each
     constant in declaration order, an existential the disjunction; nesting
-    expands recursively. Raises when a quantifier is grounded against a
-    signature with no constants, since the tree has no boolean literals to
-    stand for an empty expansion.
+    expands recursively. A variable takes the constant of its innermost
+    enclosing binder, so an inner quantifier over the same name shadows the
+    outer one; a variable no binder encloses stays a Var. Raises when a
+    quantifier is grounded against a signature with no constants, since the
+    tree has no boolean literals to stand for an empty expansion.
     """
-    match f:
-        case Atom():
-            return f
-        case Not(body):
-            return Not(ground(body, sig))
-        case Binary(l, r):
-            return type(f)(ground(l, sig), ground(r, sig))
-        case Forall(var, body) | Exists(var, body):
-            if not sig.constants:
-                raise ValueError(
-                    f"cannot ground {pretty(f)!r}: the signature declares no constants"
-                )
-            parts = [
-                ground(substitute(body, var, Const(c)), sig) for c in sig.constants
-            ]
-            return reduce(And if isinstance(f, Forall) else Or, parts)
-    raise TypeError(f"not a formula: {f!r}")
+    def walk(f: Formula, env: dict[str, Const]) -> Formula:
+        match f:
+            case Atom(name, args):
+                args = tuple(env.get(t.name, t) if isinstance(t, Var) else t for t in args)
+                return Atom(name, args)
+            case Not(body):
+                return Not(walk(body, env))
+            case Binary(l, r):
+                return type(f)(walk(l, env), walk(r, env))
+            case Forall(var, body) | Exists(var, body):
+                if not sig.constants:
+                    raise ValueError(
+                        f"cannot ground {pretty(f)!r}: the signature declares no constants"
+                    )
+                parts = [walk(body, {**env, var: Const(c)}) for c in sig.constants]
+                return reduce(And if isinstance(f, Forall) else Or, parts)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return walk(f, {})
 
 
 _NEG = 5  # negation and quantifiers bind tighter than every BINARY entry

@@ -195,6 +195,8 @@ def predict_digit(train: ImageSet, image, regime: Regime = LIMIT_ONE,
     UNDEFINED when the regime is the strict one and no training image
     matches exactly.
     """
+    if not len(train):
+        raise ValueError("predict_digit needs at least one training image")
     dist = hamming_matrix(binarize(train.images, threshold),
                           binarize(np.asarray(image)[None], threshold))
     if isinstance(regime.mu, float):
@@ -202,7 +204,7 @@ def predict_digit(train: ImageSet, image, regime: Regime = LIMIT_ONE,
     hist = np.zeros((N_PIXELS + 1, N_DIGITS), dtype=np.int64)
     np.add.at(hist, (N_PIXELS - dist[0], train.labels), 1)
     live = np.flatnonzero(hist.any(axis=1)).tolist()
-    weights = _weights(regime, N_PIXELS, min(live), max(live))  # ValueError if no images
+    weights = _weights(regime, N_PIXELS, min(live), max(live))
     num = [sum(weights[s] * c for s, c in zip(live, col)) for col in hist[live].T.tolist()]
     den = sum(num)
     return UNDEFINED if den == 0 else tuple(_ratio(n, den) for n in num)

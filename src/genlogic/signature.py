@@ -98,7 +98,7 @@ class Signature:
                 props.append(rest)
             elif kind == "pred":
                 name, sep, arity_text = rest.partition("/")
-                if not sep or not arity_text.isdigit():
+                if not sep or not arity_text.isdecimal():
                     raise ValueError(
                         f"line {lineno}: predicate must look like name/arity, got {rest!r}"
                     )

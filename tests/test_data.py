@@ -58,6 +58,7 @@ def test_dataset_csv_quoted_predicate_atoms(blames_sig):
         ("rain,wet\n1,2\n", "must be 0 or 1"),
         ("rain,wet,count\n1,0,0\n", "count must be a positive integer"),
         ("rain,wet,count\n1,0,x\n", "count must be a positive integer"),
+        ("rain,wet,count\n1,0,²\n", "count must be a positive integer"),
     ],
 )
 def test_dataset_from_csv_errors(rain_sig, text, fragment):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genlogic import (
     And,
@@ -6,34 +8,20 @@ from genlogic import (
     Const,
     Exists,
     Forall,
+    Iff,
     Implies,
     Not,
     Or,
     Signature,
     Var,
     World,
+    enumerate_worlds,
     evaluate,
     ground,
-    is_ground,
     pretty,
-    substitute,
 )
 
 SIG = Signature(predicates=(("r", 1), ("s", 2)), constants=("a", "b"))
-
-
-def test_substitute_hits_free_occurrences():
-    f = Implies(Atom("r", (Var("x"),)), Atom("s", (Var("x"), Const("a"))))
-    g = substitute(f, "x", Const("b"))
-    assert g == Implies(Atom("r", (Const("b"),)),
-                        Atom("s", (Const("b"), Const("a"))))
-
-
-def test_substitute_respects_shadowing():
-    inner = Forall("x", Atom("r", (Var("x"),)))
-    f = And(Atom("r", (Var("x"),)), inner)
-    g = substitute(f, "x", Const("a"))
-    assert g == And(Atom("r", (Const("a"),)), inner)
 
 
 def test_ground_forall_is_left_folded_conjunction():
@@ -53,6 +41,19 @@ def test_ground_nested_quantifiers():
     assert g == And(Or(sa("a", "a"), sa("a", "b")), Or(sa("b", "a"), sa("b", "b")))
 
 
+def test_ground_inner_binder_shadows_outer():
+    r = lambda t: Atom("r", (t,))
+    f = Forall("x", And(r(Var("x")), Forall("x", r(Var("x")))))
+    inner = And(r(Const("a")), r(Const("b")))
+    assert ground(f, SIG) == And(And(r(Const("a")), inner), And(r(Const("b")), inner))
+
+
+def test_ground_leaves_free_variables():
+    f = Exists("y", Atom("s", (Var("x"), Var("y"))))
+    assert ground(f, SIG) == Or(Atom("s", (Var("x"), Const("a"))),
+                                Atom("s", (Var("x"), Const("b"))))
+
+
 def test_ground_without_constants_raises():
     sig = Signature(propositions=("p",))
     with pytest.raises(ValueError, match="no constants"):
@@ -62,17 +63,71 @@ def test_ground_without_constants_raises():
 def test_ground_leaves_ground_formulas_alone():
     f = Implies(Atom("r", (Const("a"),)), Not(Atom("r", (Const("b"),))))
     assert ground(f, SIG) == f
-    assert is_ground(f)
-    assert not is_ground(Forall("x", Atom("r", (Var("x"),))))
 
 
 def test_quantifier_duality_on_all_worlds():
-    from genlogic import enumerate_worlds
-
     not_all = Not(Forall("x", Atom("r", (Var("x"),))))
     some_not = Exists("x", Not(Atom("r", (Var("x"),))))
     for w in enumerate_worlds(SIG):
         assert evaluate(ground(not_all, SIG), w) == evaluate(ground(some_not, SIG), w)
+
+
+FO_SIG = Signature(propositions=("p",), predicates=(("r", 1), ("s", 2)),
+                   constants=("a", "b"))
+_QUANTIFIERS = st.sampled_from([Forall, Exists])
+_terms = st.sampled_from([Var("x"), Var("y"), Const("a"), Const("b")])
+# Binders reuse x and y, so inner ones shadow; the two outer binders close
+# every formula over both variables.
+_open_formulas = st.recursive(
+    st.one_of(
+        st.just(Atom("p")),
+        _terms.map(lambda t: Atom("r", (t,))),
+        st.tuples(_terms, _terms).map(lambda ts: Atom("s", ts)),
+    ),
+    lambda children: st.one_of(
+        children.map(Not),
+        st.builds(lambda op, l, r: op(l, r),
+                  st.sampled_from([And, Or, Implies, Iff]), children, children),
+        st.builds(lambda q, v, body: q(v, body),
+                  _QUANTIFIERS, st.sampled_from(["x", "y"]), children),
+    ),
+    max_leaves=8,
+)
+_closed_formulas = st.builds(lambda qx, qy, body: qx("x", qy("y", body)),
+                             _QUANTIFIERS, _QUANTIFIERS, _open_formulas)
+
+
+def _holds(f, w: World, env: dict[str, str]) -> bool:
+    """First-order truth in w: quantifiers range over FO_SIG's constants."""
+    match f:
+        case Atom(name, ()):
+            return bool(w.bits >> FO_SIG.atom_index[name] & 1)
+        case Atom(name, args):
+            names = (env[t.name] if isinstance(t, Var) else t.name for t in args)
+            return bool(w.bits >> FO_SIG.atom_index[f"{name}({','.join(names)})"] & 1)
+        case Not(body):
+            return not _holds(body, w, env)
+        case And(l, r):
+            return _holds(l, w, env) and _holds(r, w, env)
+        case Or(l, r):
+            return _holds(l, w, env) or _holds(r, w, env)
+        case Implies(l, r):
+            return not _holds(l, w, env) or _holds(r, w, env)
+        case Iff(l, r):
+            return _holds(l, w, env) == _holds(r, w, env)
+        case Forall(v, body):
+            return all(_holds(body, w, {**env, v: c}) for c in FO_SIG.constants)
+        case Exists(v, body):
+            return any(_holds(body, w, {**env, v: c}) for c in FO_SIG.constants)
+    raise TypeError(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_formulas)
+def test_ground_agrees_with_first_order_truth(f):
+    g = ground(f, FO_SIG)
+    for w in enumerate_worlds(FO_SIG):
+        assert evaluate(g, w) == _holds(f, w, {})
 
 
 def test_atom_key_requires_ground_args():

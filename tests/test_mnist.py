@@ -276,7 +276,7 @@ def test_predict_digit_equals_engine_route(small_sets, size):
 def test_predict_digit_needs_training_images():
     empty = ImageSet(np.zeros((0, 784), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
     for regime in _REGIMES:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one training image"):
             predict_digit(empty, _BLACK, regime)
 
 

@@ -60,6 +60,8 @@ def test_parse_errors_carry_line_numbers():
         Signature.parse("proposition p\n")
     with pytest.raises(ValueError, match="two fields"):
         Signature.parse("prop p q\n")
+    with pytest.raises(ValueError, match="name/arity"):
+        Signature.parse("pred p/²\n")
 
 
 def test_read(tmp_path):
