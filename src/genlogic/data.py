@@ -71,16 +71,17 @@ class Dataset:
 def dataset_from_csv(text: str, sig: Signature) -> Dataset:
     """Parse the 0/1 dataset format.
 
-    The header names every ground atom of the signature exactly once, in
-    any order, optionally followed by a final ``count`` column of positive
-    multiplicities. Body cells are 0 or 1; each row is one entry.
+    The header names every ground atom once, in any order, then optionally a
+    ``count`` column of positive multiplicities (none when ``count`` is an atom
+    and the header has one name per atom). Atom cells are 0 or 1; a row is an entry.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError("empty dataset file")
     header = [h.strip() for h in rows[0]]
-    has_count = bool(header) and header[-1] == "count"
+    has_count = header[-1] == "count" and not ("count" in sig.atom_index
+                                               and len(header) == sig.n_atoms)
     names = header[:-1] if has_count else header
     if sorted(names) != sorted(sig.atoms):
         missing = sorted(set(sig.atoms) - set(names))
@@ -97,11 +98,10 @@ def dataset_from_csv(text: str, sig: Signature) -> Dataset:
         )
     perm = [sig.atom_index[name] for name in names]
     entries = []
-    expected = len(names) + (1 if has_count else 0)
     for lineno, row in enumerate(rows[1:], start=2):
         cells = [c.strip() for c in row]
-        if len(cells) != expected:
-            raise ValueError(f"row {lineno}: expected {expected} cells, got {len(cells)}")
+        if len(cells) != len(header):
+            raise ValueError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
         bits = 0
         for pos, cell in zip(perm, cells):
             if cell == "1":
@@ -123,7 +123,7 @@ def dataset_from_csv(text: str, sig: Signature) -> Dataset:
 
 
 def read_dataset_csv(path, sig: Signature) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return dataset_from_csv(fh.read(), sig)
 
 
@@ -216,5 +216,5 @@ def distribution_from_text(text: str, sig: Signature, exact: bool = True) -> Mod
 
 
 def read_distribution(path, sig: Signature, exact: bool = True) -> ModelDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return distribution_from_text(fh.read(), sig, exact=exact)

@@ -72,27 +72,25 @@ def load_idx(path) -> np.ndarray:
         raw = fh.read()
     if len(raw) < 8:
         raise ValueError(f"{name}: truncated idx header")
-    (magic,) = struct.unpack_from(">i", raw, 0)
+    magic, n = struct.unpack_from(">ii", raw, 0)
     if magic == IMAGE_MAGIC:
         if len(raw) < 16:
             raise ValueError(f"{name}: truncated image header")
-        n, rows, cols = struct.unpack_from(">iii", raw, 4)
+        rows, cols = struct.unpack_from(">ii", raw, 8)
         if rows != SIDE or cols != SIDE:
             raise ValueError(f"{name}: expected 28x28 images, got {rows}x{cols}")
-        body = raw[16:]
-        if len(body) != n * N_PIXELS:
-            raise ValueError(f"{name}: image payload does not match the header count")
-        return np.frombuffer(body, dtype=np.uint8).reshape(n, N_PIXELS).copy()
-    if magic == LABEL_MAGIC:
-        (n,) = struct.unpack_from(">i", raw, 4)
-        body = raw[8:]
-        if len(body) != n:
-            raise ValueError(f"{name}: label payload does not match the header count")
-        labels = np.frombuffer(body, dtype=np.uint8).copy()
-        if labels.size and int(labels.max()) >= N_DIGITS:
-            raise ValueError(f"{name}: labels must lie in 0..9")
-        return labels
-    raise ValueError(f"{name}: unrecognized idx magic {magic}")
+        kind, start, shape = "image", 16, (n, N_PIXELS)
+    elif magic == LABEL_MAGIC:
+        kind, start, shape = "label", 8, (n,)
+    else:
+        raise ValueError(f"{name}: unrecognized idx magic {magic}")
+    if len(raw) - start != np.prod(shape):  # a negative count never matches
+        raise ValueError(f"{name}: {kind} payload does not match the header count")
+    # A view from the offset, copied once: no slice of raw is made.
+    out = np.frombuffer(raw, np.uint8, offset=start).reshape(shape).copy()
+    if kind == "label" and out.size and int(out.max()) >= N_DIGITS:
+        raise ValueError(f"{name}: labels must lie in 0..9")
+    return out
 
 
 def write_idx(path, array: np.ndarray) -> None:
@@ -138,7 +136,7 @@ def digit_signature() -> Signature:
 
 def image_bits(images: np.ndarray, threshold: int = DEFAULT_THRESHOLD) -> list[int]:
     """Each image's white pixels as an int, pixel j at bit j."""
-    rows = _words(binarize(images, threshold)).T.astype("<u8", order="C")
+    rows = np.packbits(binarize(images, threshold), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
@@ -231,6 +229,12 @@ def hamming_matrix(train_bits, test_bits) -> np.ndarray:
     return out.astype(np.int64)
 
 
+def _distance_blocks(train_bits, test_bits):
+    """Hamming distance matrices of successive blocks of _BLOCK_ROWS test rows."""
+    for start in range(0, len(test_bits), _BLOCK_ROWS):
+        yield hamming_matrix(train_bits, test_bits[start : start + _BLOCK_ROWS])
+
+
 # Scorers: distances (n_test, n_train), one-hot labels (n_train, 10) -> (n_test, 10).
 def _limit_scores(dist: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     """Label vote shares among the training rows at the minimum distance."""
@@ -277,11 +281,8 @@ def knn_scores(train_bits, train_labels, test_bits, k: int) -> np.ndarray:
     onehot = np.eye(N_DIGITS)[np.asarray(train_labels, dtype=np.int64)]
     if not 1 <= k <= len(onehot):
         raise ValueError(f"k must lie in 1..{len(onehot)}, got {k}")
-    out = np.zeros((len(test_bits), N_DIGITS))
-    for start in range(0, len(out), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        out[rows] = _knn_votes(hamming_matrix(train_bits, test_bits[rows]), onehot, k)
-    return out
+    blocks = (_knn_votes(dist, onehot, k) for dist in _distance_blocks(train_bits, test_bits))
+    return np.concatenate([np.zeros((0, N_DIGITS)), *blocks])  # zero test rows: (0, 10)
 
 
 @dataclass(frozen=True)
@@ -362,10 +363,8 @@ def learning_curve(train: ImageSet, test: ImageSet, sizes=(100, 300, 1000),
                 for mu in mus]
     methods += [("knn", str(k), f"knn-k{k}", partial(_knn_votes, k=k)) for k in ks]
     cells = [(size, *method) for size in sizes for method in methods]
-    blocks = []
-    for start in range(0, len(test_bits), _BLOCK_ROWS):
-        dist = hamming_matrix(train_bits, test_bits[start : start + _BLOCK_ROWS])
-        blocks.append([score(dist[:, :size], onehot[:size]) for size, *_, score in cells])
+    blocks = [[score(dist[:, :size], onehot[:size]) for size, *_, score in cells]
+              for dist in _distance_blocks(train_bits, test_bits)]
 
     points, roc_out = [], {}
     columns = map(np.concatenate, zip(*blocks))  # each cell's scores, all test rows

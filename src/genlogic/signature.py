@@ -114,5 +114,5 @@ class Signature:
 
     @classmethod
     def read(cls, path) -> "Signature":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls.parse(fh.read())

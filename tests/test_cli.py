@@ -2,7 +2,7 @@
 
 import pytest
 
-from genlogic import mnist
+from genlogic import Signature, mnist, read_dataset_csv, read_distribution
 from genlogic.cli import main
 
 
@@ -108,6 +108,22 @@ def test_infer_float_rejects_a_weight_that_rounds_to_zero(desk, tmp_path, capsys
     assert run(capsys, *argv) == (0, "1\n", "")
     rc, out, err = run(capsys, *argv, "--float")
     assert rc == 2 and out == "" and err == "error: weight 1e-400 rounds to 0.0 as a float\n"
+
+
+@pytest.mark.parametrize("name", ["rain.sig", "rain.csv", "fig.dist"])
+def test_readers_skip_a_utf8_byte_order_mark(desk, tmp_path, capsys, name):
+    """Spreadsheet "CSV UTF-8" exports start with a BOM; it is not part of a name."""
+    for plain in ("rain.sig", "rain.csv", "fig.dist"):
+        (tmp_path / plain).write_bytes((desk / plain).read_bytes())
+    (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (desk / name).read_bytes())
+    sig = Signature.read(desk / "rain.sig")
+    read = {"rain.sig": Signature.read, "rain.csv": lambda path: read_dataset_csv(path, sig),
+            "fig.dist": lambda path: read_distribution(path, sig)}[name]
+    assert read(tmp_path / name) == read(desk / name)
+    for flag, source in (("--data", "rain.csv"), ("--dist", "fig.dist")):
+        plain, bom = (run(capsys, "infer", "rain | wet", "--signature", str(root / "rain.sig"),
+                          flag, str(root / source), "--one") for root in (desk, tmp_path))
+        assert bom == plain and plain[0] == 0
 
 
 def test_infer_default_regime_is_limit(desk, capsys):

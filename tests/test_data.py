@@ -39,6 +39,16 @@ def test_dataset_from_csv_permuted_header_and_counts(rain_sig):
     assert data.entries[0][1] == 4
 
 
+def test_dataset_csv_atom_named_count():
+    sig = Signature(propositions=("rain", "count"))
+    atoms_only = dataset_from_csv("rain,count\n1,0\n0,1\n", sig)
+    assert [(w.bitstring(), c) for w, c in atoms_only.entries] == [("10", 1), ("01", 1)]
+    counted = dataset_from_csv("rain,count,count\n1,0,3\n0,1,2\n", sig)
+    assert [(w.bitstring(), c) for w, c in counted.entries] == [("10", 3), ("01", 2)]
+    with pytest.raises(ValueError, match=r"missing \['count', 'rain'\]$"):
+        dataset_from_csv("count\n1\n", sig)  # one name: the multiplicity column
+
+
 def test_dataset_csv_quoted_predicate_atoms(blames_sig):
     text = ('"blames(a,a)","blames(a,b)","blames(b,a)","blames(b,b)",count\n'
             "1,0,0,1,2\n")

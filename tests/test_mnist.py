@@ -1,6 +1,9 @@
 """Digit experiment plumbing: idx files, encodings, and both inference routes."""
 
 import gzip
+import re
+import struct
+import tracemalloc
 from fractions import Fraction
 from itertools import groupby
 
@@ -50,8 +53,10 @@ def test_idx_round_trip(tmp_path):
     labels = rng.integers(0, 10, size=5, dtype=np.uint8)
     write_idx(tmp_path / "imgs.idx", images)
     write_idx(tmp_path / "labs.idx", labels)
-    assert np.array_equal(load_idx(tmp_path / "imgs.idx"), images)
-    assert np.array_equal(load_idx(tmp_path / "labs.idx"), labels)
+    for name, want in (("imgs.idx", images), ("labs.idx", labels)):
+        got = load_idx(tmp_path / name)
+        assert np.array_equal(got, want) and got.shape == want.shape
+        assert got.flags.owndata and got.flags.writeable
 
 
 def test_idx_gzip_round_trip(tmp_path):
@@ -60,17 +65,52 @@ def test_idx_gzip_round_trip(tmp_path):
     raw = (tmp_path / "labs.idx").read_bytes()
     gz = tmp_path / "labs.idx.gz"
     gz.write_bytes(gzip.compress(raw))
-    assert np.array_equal(load_idx(gz), labels)
+    got = load_idx(gz)
+    assert np.array_equal(got, labels)
+    assert got.flags.owndata and got.flags.writeable
+
+
+def _image_header(n, rows=28, cols=28):
+    return struct.pack(">iiii", 2051, n, rows, cols)
 
 
 def test_idx_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.idx"
-    bad.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x05abc")
-    with pytest.raises(ValueError):
-        load_idx(bad)
-    bad.write_bytes(b"\xff\xff\xff\xff" + b"\x00" * 12)
-    with pytest.raises(ValueError):
-        load_idx(bad)
+    for raw, message in [
+        (b"\x00\x00\x08", "truncated idx header"),
+        (b"\xff\xff\xff\xff" + b"\x00" * 12, "unrecognized idx magic -1"),
+        (_image_header(1)[:12], "truncated image header"),
+        (_image_header(1, rows=27) + bytes(27 * 28), "expected 28x28 images, got 27x28"),
+        (_image_header(2) + bytes(2 * 784 - 1), "image payload does not match the header count"),
+        (_image_header(2) + bytes(2 * 784 + 1), "image payload does not match the header count"),
+        (_image_header(-1), "image payload does not match the header count"),
+        (b"\x00\x00\x08\x01\x00\x00\x00\x05abc", "label payload does not match the header count"),
+        (struct.pack(">ii", 2049, 3) + bytes(2), "label payload does not match the header count"),
+        (struct.pack(">ii", 2049, -1), "label payload does not match the header count"),
+        (struct.pack(">ii", 2049, 2) + bytes([3, 10]), r"labels must lie in 0\.\.9"),
+    ]:
+        bad.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {message}$"):
+            load_idx(bad)
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_idx_load_copies_the_payload_once(tmp_path, gz):
+    images = np.random.default_rng(1).integers(0, 256, size=(6000, 784), dtype=np.uint8)
+    path = tmp_path / "imgs.idx"
+    write_idx(path, images)
+    if gz:
+        path = tmp_path / "imgs.idx.gz"
+        path.write_bytes(gzip.compress((tmp_path / "imgs.idx").read_bytes(), compresslevel=1))
+    tracemalloc.start()
+    try:
+        got = load_idx(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, images)
+    # The file's bytes plus the returned array; a slice of the bytes would make 3x.
+    assert peak <= 2.25 * images.nbytes, peak / images.nbytes
 
 
 def test_load_image_set_validates_shapes(tmp_path):
@@ -357,6 +397,7 @@ def test_curve_blocks_over_test_rows(small_sets, monkeypatch):
                         lambda a, b: calls.append(len(b)) or hamming(a, b))
     assert learning_curve(train, test, **args) == whole
     assert np.array_equal(knn_scores(train_bits, train.labels, test_bits, 3), knn_whole)
+    assert knn_scores(train_bits, train.labels, test_bits[:0], 3).shape == (0, 10)
     assert calls == [7, 7, 7, 7, 7, 5] * 2
 
 
