@@ -140,7 +140,20 @@ def _render_subsets(subsets, premises) -> list[str]:
     return sorted(lines)
 
 
+# The source, threshold and regime flags each entail mode leaves unread.
+_ENTAIL_UNREAD = {
+    "classical": ("data", "dist", "theta", "one", "limit", "mu"),
+    "mcs": ("data", "dist", "theta", "one", "limit", "mu"),
+    "possible": ("data", "theta", "one", "limit", "mu"),
+    "mps": ("data", "theta", "one", "limit", "mu"),
+    "gc": (),
+}
+
+
 def cmd_entail(args) -> int:
+    for name in _ENTAIL_UNREAD[args.mode]:
+        if getattr(args, name) not in (None, False):
+            raise UsageError(f"--mode {args.mode} does not take --{name}")
     sig = _load_signature(args)
     if args.mode in ("mcs", "mps"):
         premises = tuple(ground(f, sig) for f in parse_premises(args.query, sig))

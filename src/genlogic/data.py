@@ -13,19 +13,20 @@ from numbers import Rational
 import numpy as np
 
 from .signature import Signature
-from .worlds import World, pack
+from .worlds import Columns, World, pack
 from .worlds import enumerate_worlds  # unused here: perfbench wraps data.enumerate_worlds
 
 
 def _pack(source, worlds, masses, denominator: int = 1) -> None:
     """Set the arrays the engine reads on a frozen source at construction:
-    packed ``words``, ``masses`` over ``denominator`` and the ``positive`` mask.
-    Integer masses are int64 while they sum below 2**63, so no partial sum
-    overflows, else Python ints."""
+    ``columns`` over the packed words, ``masses`` over ``denominator`` and the
+    ``positive`` mask. Integer masses are int64 while they sum below 2**63, so
+    no partial sum overflows, else Python ints."""
     if isinstance(masses, list):
         masses = np.array(masses, dtype=np.int64 if sum(masses) < 2**63 else object)
-    source.__dict__.update(words=pack((w.bits for w in worlds), source.signature.n_atoms),
-                           masses=masses, denominator=denominator, positive=masses > 0)
+    words = pack((w.bits for w in worlds), source.signature.n_atoms)
+    source.__dict__.update(columns=Columns(words), masses=masses,
+                           denominator=denominator, positive=masses > 0)
 
 
 @dataclass(frozen=True)

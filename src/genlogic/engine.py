@@ -20,10 +20,12 @@ Arithmetic follows the numeric types supplied: exact fractions in, exact
 fractions out; floats in, floats out. Dataset paths with ``ONE`` or
 ``LIMIT_ONE`` count integers and return exact fractions.
 
-Every all-worlds path reads one bool matrix over the source's packed words,
-``_truths``: a ``worlds.truth`` column per formula occurrence. A world's
-premise score is its row sum, entailment the row's conjunction, and MCS/MPS
-read the columns of the distinct premises. The conditional family
+Every all-worlds path reads one bool matrix over the source's atom columns,
+``_truths``: a ``worlds.truth`` row per formula occurrence. A source unpacks
+an atom's column from its packed words the first time a formula reads it and
+keeps it, so later queries reuse it. A world's premise score is its column
+sum, entailment the column's conjunction, and MCS/MPS read the rows of the
+distinct premises. The conditional family
 (``cond_prob``, ``prob``, ``joint_prob``, ``cond_prob_multi``) reduces one
 histogram of mass by (premise score, satisfied conclusions) under one
 per-score weight table. Exact results equal a per-world sum. Float
@@ -51,7 +53,7 @@ import numpy as np
 from .data import Dataset, ModelDistribution
 from .formulas import Formula
 from .signature import Signature
-from .worlds import World, _bit, compile_formula, pack, truth
+from .worlds import Columns, World, _bit, compile_formula, pack, truth
 from .worlds import evaluate  # unused here: perfbench counts calls through engine.evaluate
 
 
@@ -113,28 +115,37 @@ class Query:
     premises: tuple[Formula, ...] = ()
 
 
-def _truths(formulas, words: np.ndarray, index) -> np.ndarray:
-    """One ``truth`` column per formula occurrence, in order: a bool matrix of
-    shape (rows, len(formulas)). A repeated formula is evaluated once per
-    occurrence; no formulas give a (rows, 0) matrix."""
-    t = np.empty((len(formulas), len(words)), dtype=bool)
+def _truths(formulas, columns: Columns, index) -> np.ndarray:
+    """One ``truth`` row per formula occurrence, in order: a C-contiguous bool
+    matrix of shape (len(formulas), rows). A repeated formula is evaluated
+    once per occurrence; no formulas give a (0, rows) matrix."""
+    t = np.empty((len(formulas), len(columns)), dtype=bool)
     for j, f in enumerate(formulas):
-        t[j] = truth(f, words, index)  # a contiguous write; callers read the transpose
-    return t.T
+        t[j] = truth(f, columns, index)
+    return t
+
+
+def _scores(truths: np.ndarray) -> np.ndarray:
+    """How many formulas of a ``_truths`` matrix hold at each row, as intp.
+    The sum runs in the narrowest unsigned type that holds the formula count."""
+    narrow = np.min_scalar_type(len(truths))
+    return truths.sum(axis=0, dtype=narrow).astype(np.intp)
 
 
 def _histogram(premises, conclusions, source) -> list[list]:
     """Source mass by (premise score, satisfied conclusion count), as lists of
-    Python numbers."""
+    Python numbers. Each cell sums its rows' masses in row order."""
     if not isinstance(source, (Dataset, ModelDistribution)):
         raise TypeError("source must be a Dataset or a ModelDistribution")
     index = source.signature.atom_index
-    s = _truths(premises, source.words, index).sum(axis=1)
-    c = _truths(conclusions, source.words, index).sum(axis=1)
-    hist = np.zeros((len(premises) + 1, len(conclusions) + 1), dtype=source.masses.dtype)
-    np.add.at(hist, (s, c), source.masses)
+    width = len(conclusions) + 1
+    key = (_scores(_truths(premises, source.columns, index)) * width
+           + _scores(_truths(conclusions, source.columns, index)))
+    hist = np.zeros((len(premises) + 1) * width, dtype=source.masses.dtype)
+    np.add.at(hist, key, source.masses)
     den = source.denominator
-    return [[_ratio(m, den) if den != 1 else m for m in row] for row in hist.tolist()]
+    return [[_ratio(m, den) if den != 1 else m for m in row]
+            for row in hist.reshape(-1, width).tolist()]
 
 
 def _ratio(num, den):
@@ -225,7 +236,7 @@ def _posterior(premises, source, regime, weighted: bool):
     order; else exact, equal shares being one Fraction. UNDEFINED at total 0.
     """
     premises = tuple(premises)
-    s = _truths(premises, source.words, source.signature.atom_index).sum(axis=1)
+    s = _scores(_truths(premises, source.columns, source.signature.atom_index))
     live = s[source.positive]
     table = _weights(regime, len(premises), int(live.min()), int(live.max()))
     masses = source.masses
@@ -395,18 +406,20 @@ def classical_entails(premises: Sequence[Formula], alpha: Formula,
     if not worlds:
         return True
     index = worlds[0].signature.atom_index
-    return _entails(premises, alpha, pack((w.bits for w in worlds), len(index)), index)
+    columns = Columns(pack((w.bits for w in worlds), len(index)))
+    return not _counterexamples(premises, alpha, columns, index).any()
 
 
 def possible_entails(premises: Sequence[Formula], alpha: Formula,
                      dist: ModelDistribution) -> bool:
     """classical_entails restricted to the distribution's possible worlds."""
-    return _entails(premises, alpha, dist.words[dist.positive], dist.signature.atom_index)
+    bad = _counterexamples(premises, alpha, dist.columns, dist.signature.atom_index)
+    return not (bad & dist.positive).any()
 
 
-def _entails(premises, alpha, words, index) -> bool:
-    hold = _truths(premises, words, index).all(axis=1)
-    return not (hold & ~truth(alpha, words, index)).any()
+def _counterexamples(premises, alpha, columns, index) -> np.ndarray:
+    """The rows where every premise holds and alpha does not."""
+    return _truths(premises, columns, index).all(axis=0) & ~truth(alpha, columns, index)
 
 
 @dataclass(frozen=True)
@@ -417,15 +430,26 @@ class SubsetAnalysis:
     union_models: tuple[World, ...]
 
 
-def _maximal_subsets(premises, words, index):
-    """The maximal satisfied premise sets over the rows of packed words, and
-    the rows that reach the maximal count."""
+def _maximal_subsets(premises, columns, index, live):
+    """The maximal satisfied premise sets over the ``live`` rows of columns,
+    and those rows, ascending, that reach the maximal count.
+
+    Each row's satisfied set is packed into a byte string, one bit per
+    distinct premise, and the distinct strings are read back as the subsets.
+    (A set of the strings, not np.unique: that imports numpy.ma.)
+    """
     formulas = list(dict.fromkeys(premises))  # set semantics
-    sat = _truths(formulas, words, index)
-    n = sat.sum(axis=1)
-    rows = np.flatnonzero(n == n.max())
+    sat = _truths(formulas, columns, index)
+    n = _scores(sat)
+    rows = np.flatnonzero(live & (n == n[live].max()))
+    packed = np.packbits(sat[:, rows], axis=0)
+    keys = np.zeros((len(rows), max(len(packed), 1)), dtype=np.uint8)  # no 0-byte keys
+    keys[:, :len(packed)] = packed.T
+    unique = set(keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist())
+    patterns = np.unpackbits(np.frombuffer(b"".join(unique), np.uint8).reshape(len(unique), -1),
+                             axis=1, count=len(formulas))
     subsets = frozenset(frozenset(f for f, hold in zip(formulas, pattern) if hold)
-                        for pattern in set(map(tuple, sat[rows].tolist())))
+                        for pattern in patterns.tolist())
     return subsets, rows
 
 
@@ -442,15 +466,16 @@ def mcs(premises: Sequence[Formula], worlds: Sequence[World]) -> SubsetAnalysis:
     if not worlds:
         raise ValueError("no worlds to judge consistency against")
     index = worlds[0].signature.atom_index
-    subsets, rows = _maximal_subsets(premises, pack((w.bits for w in worlds), len(index)), index)
+    columns = Columns(pack((w.bits for w in worlds), len(index)))
+    subsets, rows = _maximal_subsets(premises, columns, index, np.ones(len(worlds), bool))
     return SubsetAnalysis(subsets, tuple([worlds[i] for i in rows.tolist()]))
 
 
 def mps(premises: Sequence[Formula], dist: ModelDistribution) -> SubsetAnalysis:
     """Like mcs, but consistency is judged over the possible worlds only."""
-    live = np.flatnonzero(dist.positive)
-    subsets, rows = _maximal_subsets(premises, dist.words[live], dist.signature.atom_index)
-    return SubsetAnalysis(subsets, tuple([dist.worlds[i] for i in live[rows].tolist()]))
+    subsets, rows = _maximal_subsets(premises, dist.columns, dist.signature.atom_index,
+                                     dist.positive)
+    return SubsetAnalysis(subsets, tuple([dist.worlds[i] for i in rows.tolist()]))
 
 
 def generative_consequence(query: Query, source, theta,

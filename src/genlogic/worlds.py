@@ -125,15 +125,15 @@ def _bit(j: int):
 
 
 def _column(j: int):
-    return lambda words: (words[:, j >> 6] >> (j & 63) & 1).astype(bool)
+    return lambda columns: columns[j]
 
 
 def compile_formula(f: Formula, index: dict[str, int], leaf=_bit):
     """evaluate() compiled once for an atom index: a function of a world's
     ``bits`` that gives the formula's truth there as a 0/1 int.
 
-    ``leaf(j)`` reads atom j; truth() passes a reader of packed word columns,
-    and the function then gives one bool per row. Atom indices are resolved
+    ``leaf(j)`` reads atom j; truth() passes a reader of a ``Columns``, and the
+    function then gives one bool per row. Atom indices are resolved
     here, so an unknown atom on either side of a connective, a quantifier or
     a non-formula raises at compile time. Both sides of every connective are
     evaluated: nothing short-circuits.
@@ -176,11 +176,56 @@ def pack(bits, n_atoms: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, n_words)
 
 
-def truth(f: Formula, words: np.ndarray, index: dict[str, int]) -> np.ndarray:
-    """evaluate() at every row of a packed word matrix: one bool per row.
+# Flipping the low three bits of a byte index maps a uint64's little-endian
+# byte order to the machine's.
+_BYTE_FLIP = 0 if np.little_endian else 7
 
-    This is compile_formula() with a word-column leaf, so both sides of every
-    connective are evaluated and an unknown atom raises even where evaluate()
-    would have short-circuited past it.
+
+def _unpack(words: np.ndarray, j: int) -> np.ndarray:
+    """Atom j at every row of a packed word matrix, as C-contiguous bool.
+
+    Reads the one byte of each row that holds the atom's bit.
     """
-    return compile_formula(f, index, _column)(words)
+    return (words.view(np.uint8)[:, j >> 3 ^ _BYTE_FLIP] & np.uint8(1 << (j & 7))) != 0
+
+
+class Columns:
+    """One bool column per atom over a packed word matrix (see pack()).
+
+    ``columns[j]`` is atom j at every row, unpacked from ``words`` the first
+    time it is read and kept: C-contiguous and read-only, so every formula
+    that reads atom j gets the same array. The kept columns take at most
+    n_atoms x rows bytes, and only for the atoms read. Two threads that read
+    a new atom at once may both unpack it; either array is right.
+    """
+
+    __slots__ = ("words", "_cache")
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+        self._cache = {}
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __reduce__(self):
+        return Columns, (self.words,)  # a copy unpacks again, read-only
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        col = self._cache.get(j)
+        if col is None:
+            col = _unpack(self.words, j)
+            col.flags.writeable = False
+            self._cache[j] = col
+        return col
+
+
+def truth(f: Formula, columns: Columns, index: dict[str, int]) -> np.ndarray:
+    """evaluate() at every row of ``columns``: one bool per row.
+
+    This is compile_formula() with a column leaf, so both sides of every
+    connective are evaluated and an unknown atom raises even where evaluate()
+    would have short-circuited past it. A bare atom gives its cached column,
+    which is read-only.
+    """
+    return compile_formula(f, index, _column)(columns)

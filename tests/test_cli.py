@@ -247,6 +247,29 @@ def test_cli_usage_errors_from_validation(desk, capsys):
         capsys.readouterr()
 
 
+_UNREAD = {"classical": ("--data", "--dist", "--theta", "--one", "--limit", "--mu"),
+           "possible": ("--data", "--theta", "--one", "--limit", "--mu")}
+_UNREAD["mcs"], _UNREAD["mps"] = _UNREAD["classical"], _UNREAD["possible"]
+
+
+@pytest.mark.parametrize("mode, flag", [(m, f) for m, flags in _UNREAD.items() for f in flags])
+def test_entail_refuses_flags_its_mode_does_not_read(desk, capsys, mode, flag):
+    """classical and mcs read no source, threshold or regime; possible and mps
+    read --dist only. Such a flag is refused, not silently ignored."""
+    value = {"--data": str(desk / "rain.csv"), "--dist": str(desk / "fig.dist"),
+             "--theta": "0.6", "--mu": "0.3"}
+    query = "rain; ~rain" if mode in ("mcs", "mps") else "wet | rain"
+    needed = ("--dist", value["--dist"]) if mode in ("possible", "mps") else ()
+    given = (flag, value[flag]) if flag in value else (flag,)
+    rc, out, err = run(capsys, "entail", query, "--mode", mode,
+                       "--signature", str(desk / "rain.sig"), *needed, *given)
+    assert (rc, out, err) == (1, "", f"error: --mode {mode} does not take {flag}\n")
+    # the same call without the flag answers
+    rc, out, err = run(capsys, "entail", query, "--mode", mode,
+                       "--signature", str(desk / "rain.sig"), *needed)
+    assert rc == 0 and out and err == ""
+
+
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -9,6 +9,8 @@ numerators past 2**63 and float64 weights.
 import functools
 import math
 import operator
+import pickle
+from copy import deepcopy
 from fractions import Fraction
 from random import Random
 
@@ -50,7 +52,8 @@ from genlogic.oracle import (
     mcs_bruteforce,
     mps_bruteforce,
 )
-from genlogic.worlds import pack, truth
+import genlogic.worlds
+from genlogic.worlds import Columns, pack, truth
 
 SIG70 = Signature(propositions=tuple(f"a{i}" for i in range(70)))
 EDGE = (0, 62, 63, 64, 69)
@@ -124,7 +127,7 @@ def test_truth_matches_evaluate_across_words(seed):
     assert words.shape == (40, 2) and words.dtype == np.uint64
     for _ in range(20):
         f = _formula(rng, 3)
-        got = truth(f, words, SIG70.atom_index)
+        got = truth(f, Columns(words), SIG70.atom_index)
         assert got.tolist() == [evaluate(f, w) for w in worlds]
 
 
@@ -192,6 +195,67 @@ def test_subsets_and_entailment_across_words(seed):
                               (support, possible_entails(premises, alpha, dist))):
             assert verdict == all(evaluate(alpha, w) for w in pool
                                   if all(evaluate(p, w) for p in premises))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_columns_are_cached_contiguous_and_read_only(seed, monkeypatch):
+    rng = Random(400 + seed)
+    dist = _distribution(rng)
+    queries = [Query(_formula(rng), _premises(rng)) for _ in range(4)]
+    regimes = (ONE, LIMIT_ONE, fixed(MU), fixed(0.8))
+    unpacked = []
+    unpack = genlogic.worlds._unpack
+    monkeypatch.setattr(genlogic.worlds, "_unpack",
+                        lambda words, j: unpacked.append(j) or unpack(words, j))
+    before = [cond_prob(q, dist, r) for q in queries for r in regimes]
+    assert 0 < len(unpacked) == len(set(unpacked)) <= len(EDGE)
+    # a second pass over the same source unpacks no column again
+    first = list(unpacked)
+    assert [cond_prob(q, dist, r) for q in queries for r in regimes] == before
+    assert unpacked == first
+    for j in EDGE:
+        column = dist.columns[j]
+        assert column.dtype == bool and column.flags.c_contiguous
+        assert not column.flags.writeable
+        assert column.tolist() == [bool(w.bits >> j & 1) for w in dist.worlds]
+    rain = truth(Atom("a63"), dist.columns, SIG70.atom_index)
+    assert rain is dist.columns[63]
+    with pytest.raises(ValueError, match="read-only"):
+        rain[0] = not rain[0]
+    with pytest.raises(ValueError, match="read-only"):
+        np.logical_not(rain, out=rain)
+    assert [cond_prob(q, dist, r) for q in queries for r in regimes] == before
+    for copy in (pickle.loads(pickle.dumps(dist)), deepcopy(dist)):
+        assert not copy.columns[63].flags.writeable
+        assert [cond_prob(q, copy, r) for q in queries for r in regimes] == before
+
+
+@pytest.mark.parametrize("regime", [ONE, LIMIT_ONE, fixed(MU), fixed(0.8)],
+                         ids=["one", "limit", "fixed_exact", "fixed_float"])
+def test_scores_past_255_occurrences(regime):
+    # 256 copies of ~a0 and one a1: ~a0 & a1 scores 257 and a0 & a1 scores 1,
+    # so a score summed in uint8 would wrap to a tie
+    sig = Signature(propositions=("a0", "a1"))
+    worlds = (World.from_bitstring(sig, "01"), World.from_bitstring(sig, "11"))
+    dist = ModelDistribution(worlds, (Fraction(1, 3), Fraction(2, 3)))
+    a0, a1 = Atom("a0"), Atom("a1")
+    premises = (Not(a0),) * 256 + (a1,)
+    exact = regime.mu is None or isinstance(regime.mu, Fraction)
+    ref = regime if exact else fixed(Fraction(regime.mu))
+    mu = 1 if regime.mu is None else Fraction(regime.mu)
+    post = posterior_models(premises, dist, regime)
+    for i, held in enumerate((Not(a0), a0)):
+        query = Query(And(held, a1), premises)
+        want = _expected(query, dist, ref)
+        # the conclusion holds at world i alone: its factor is mu there and
+        # 1 - mu elsewhere, so want = (1 - mu) + (2mu - 1) * posterior_i
+        pairs = ((cond_prob(query, dist, regime), want),
+                 (post[i], (want - (1 - mu)) / (2 * mu - 1)))
+        for got, expected in pairs:
+            if exact:
+                assert got == expected
+            else:
+                assert math.isclose(got, expected, rel_tol=1e-12)
 
 
 def test_denominator_past_int64_stays_exact():

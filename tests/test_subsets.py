@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 import genlogic.engine
+import genlogic.worlds
 from genlogic import (
     LIMIT_ONE,
     ONE,
@@ -96,8 +97,59 @@ def test_limit_prob_is_mass_ratio_over_possible_subsets():
         assert cond_prob(Query(alpha, prem), dist, LIMIT_ONE) == num / den
 
 
-def test_mps_and_possible_entails_read_the_cached_words(monkeypatch):
-    # both answer from dist.words, never packing the support again
+def _distinct_premises(rng, sig, n):
+    """n distinct random premises, then three of them again."""
+    seen = {}
+    while len(seen) < n:
+        seen.setdefault(random_formula(rng, sig, depth=2), None)
+    return tuple(seen) + tuple(seen)[:3]
+
+
+def _maximal_reference(premises, worlds):
+    """Each world's satisfied premise set; the sets of maximal size, and the
+    worlds that have one, in list order."""
+    formulas = list(dict.fromkeys(premises))
+    sat = [frozenset(f for f in formulas if evaluate(f, w)) for w in worlds]
+    top = max(map(len, sat))
+    return (frozenset(x for x in sat if len(x) == top),
+            tuple(w for w, x in zip(worlds, sat) if len(x) == top))
+
+
+@pytest.mark.parametrize("n", [9, 12, 70])
+def test_subsets_past_one_byte_of_premises(n):
+    # 9-12 distinct premises pack into 2-byte patterns, 70 into 9 bytes; past
+    # 12 the lattice walk is too slow, so the per-world reference decides
+    rng = Random(210 + n)
+    for _ in range(40 if n <= 12 else 60):
+        sig = random_signature(rng)
+        prem = _distinct_premises(rng, sig, n)
+        worlds = enumerate_worlds(sig)
+        dist = random_distribution(rng, sig)
+        for got, pool in ((mcs(prem, worlds), worlds), (mps(prem, dist), dist.support())):
+            assert (got.subsets, got.union_models) == _maximal_reference(prem, pool)
+        if n <= 12:
+            assert _same_analysis(mcs(prem, worlds), mcs_bruteforce(prem, worlds))
+            assert _same_analysis(mps(prem, dist), mps_bruteforce(prem, dist))
+
+
+def test_subsets_of_no_premises():
+    rng = Random(213)
+    for _ in range(20):
+        sig = random_signature(rng)
+        worlds = enumerate_worlds(sig)
+        dist = random_distribution(rng, sig)
+        got = mcs((), worlds)
+        assert (got.subsets, got.union_models) == (frozenset({frozenset()}), tuple(worlds))
+        assert _same_analysis(got, mcs_bruteforce((), worlds))
+        got = mps((), dist)
+        assert (got.subsets, got.union_models) == (frozenset({frozenset()}),
+                                                   tuple(dist.support()))
+        assert _same_analysis(got, mps_bruteforce((), dist))
+
+
+def test_mps_and_possible_entails_read_the_cached_columns(monkeypatch):
+    # both answer from dist.columns, never packing the support again, and
+    # unpack each atom's column from the words at most once
     rng = Random(209)
     cases = []
     for _ in range(CASES):
@@ -111,12 +163,19 @@ def test_mps_and_possible_entails_read_the_cached_words(monkeypatch):
     def no_pack(*args):
         raise AssertionError("pack called")
 
+    unpacked = []
+    unpack = genlogic.worlds._unpack
     monkeypatch.setattr(genlogic.engine, "pack", no_pack)
+    monkeypatch.setattr(genlogic.worlds, "_unpack",
+                        lambda words, j: unpacked.append((id(words), j)) or unpack(words, j))
     for prem, dist, alpha, want_mps, want_entails in cases:
-        got = mps(prem, dist)
-        assert _same_analysis(got, want_mps)
-        assert list(got.union_models) == [w for w in dist.support() if w in want_mps.union_models]
-        assert possible_entails(prem, alpha, dist) == want_entails
+        for _ in range(2):
+            got = mps(prem, dist)
+            assert _same_analysis(got, want_mps)
+            assert list(got.union_models) == [w for w in dist.support()
+                                              if w in want_mps.union_models]
+            assert possible_entails(prem, alpha, dist) == want_entails
+        assert len(unpacked) == len(set(unpacked))
 
 
 def test_certainty_iff_classical_entailment():

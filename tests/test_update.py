@@ -36,7 +36,7 @@ from genlogic import (
     update,
 )
 from genlogic import engine
-from genlogic.worlds import compile_formula, evaluate, pack, truth
+from genlogic.worlds import Columns, compile_formula, evaluate, pack, truth
 
 from helpers import (
     random_dataset,
@@ -261,7 +261,7 @@ def test_compiled_formula_matches_evaluate(data):
 def test_compile_raises_what_truth_raises():
     sig = Signature(propositions=("p", "q"), predicates=(("b", 1),), constants=("c",))
     index = sig.atom_index
-    words = pack(range(1 << sig.n_atoms), sig.n_atoms)
+    columns = Columns(pack(range(1 << sig.n_atoms), sig.n_atoms))
     p, zap = Atom("p"), Atom("zap")
     x = Atom("b", (Var("x"),))
     # an unknown atom where evaluate() would short-circuit past it raises too
@@ -269,7 +269,7 @@ def test_compile_raises_what_truth_raises():
            x, Forall("x", x), Exists("x", x), Not(Exists("x", x)), "p", Not(None))
     for f in bad:
         with pytest.raises((ValueError, TypeError)) as want:
-            truth(f, words, index)
+            truth(f, columns, index)
         with pytest.raises(want.type) as got:
             compile_formula(f, index)
         assert str(got.value) == str(want.value)
