@@ -19,11 +19,11 @@ from .engine import (
     Query,
     Regime,
     UNDEFINED,
-    classical_entails,
+    _counterexamples,
+    _maximal_subsets,
     cond_prob,
     fixed,
     generative_consequence,
-    mcs,
     mps,
     possible_entails,
 )
@@ -39,7 +39,7 @@ from .mnist import (
 )
 from .parser import parse_premises, parse_query
 from .signature import Signature
-from .worlds import enumerate_worlds
+from .worlds import Columns
 
 
 class UsageError(Exception):
@@ -140,10 +140,10 @@ def _render_subsets(subsets, premises) -> list[str]:
     return sorted(lines)
 
 
-# The source, threshold and regime flags each entail mode leaves unread.
+# The source, threshold, regime and number flags each entail mode leaves unread.
 _ENTAIL_UNREAD = {
-    "classical": ("data", "dist", "theta", "one", "limit", "mu"),
-    "mcs": ("data", "dist", "theta", "one", "limit", "mu"),
+    "classical": ("data", "dist", "theta", "one", "limit", "mu", "exact", "float"),
+    "mcs": ("data", "dist", "theta", "one", "limit", "mu", "exact", "float"),
     "possible": ("data", "theta", "one", "limit", "mu"),
     "mps": ("data", "theta", "one", "limit", "mu"),
     "gc": (),
@@ -151,26 +151,29 @@ _ENTAIL_UNREAD = {
 
 
 def cmd_entail(args) -> int:
+    # entail's --exact and --float default to None, so a given one shows
+    given = vars(args) | {"exact": args.exact is True, "float": args.exact is False}
     for name in _ENTAIL_UNREAD[args.mode]:
-        if getattr(args, name) not in (None, False):
+        if given[name] not in (None, False):
             raise UsageError(f"--mode {args.mode} does not take --{name}")
+    args.exact = args.exact is not False
     sig = _load_signature(args)
     if args.mode in ("mcs", "mps"):
         premises = tuple(ground(f, sig) for f in parse_premises(args.query, sig))
-        if args.mode == "mcs":
-            analysis = mcs(premises, enumerate_worlds(sig))
+        if args.mode == "mcs":  # mcs() over every assignment, with no World made
+            subsets, _ = _maximal_subsets(premises, Columns.every(sig))
         else:
             if args.dist is None:
                 raise UsageError("mode mps needs --dist")
-            analysis = mps(premises, read_distribution(args.dist, sig, exact=args.exact))
-        for line in _render_subsets(analysis.subsets, premises):
+            subsets = mps(premises, read_distribution(args.dist, sig, exact=args.exact)).subsets
+        for line in _render_subsets(subsets, premises):
             print(line)
         return 0
     conclusion, premises = parse_query(args.query, sig)
     conclusion = ground(conclusion, sig)
     premises = tuple(ground(p, sig) for p in premises)
-    if args.mode == "classical":
-        verdict = classical_entails(premises, conclusion, enumerate_worlds(sig))
+    if args.mode == "classical":  # classical_entails() over every assignment
+        verdict = not _counterexamples(premises, conclusion, Columns.every(sig)).any()
     elif args.mode == "possible":
         if args.dist is None:
             raise UsageError("mode possible needs --dist")
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     entail.add_argument("--dist", help="distribution file (possible/mps/gc)")
     entail.add_argument("--theta", help="entailment threshold in (1/2, 1] (gc)")
     _add_regime_flags(entail)
-    _add_numeric_flags(entail, exact_default=True)
+    _add_numeric_flags(entail, exact_default=None)  # exact unless --float
     entail.set_defaults(func=cmd_entail)
 
     mnist = sub.add_parser("mnist", help="digit generation, prediction and curves")

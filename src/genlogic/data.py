@@ -13,19 +13,19 @@ from numbers import Rational
 import numpy as np
 
 from .signature import Signature
-from .worlds import Columns, World, pack
+from .worlds import Columns, World
 from .worlds import enumerate_worlds  # unused here: perfbench wraps data.enumerate_worlds
 
 
 def _pack(source, worlds, masses, denominator: int = 1) -> None:
     """Set the arrays the engine reads on a frozen source at construction:
-    ``columns`` over the packed words, ``masses`` over ``denominator`` and the
-    ``positive`` mask. Integer masses are int64 while they sum below 2**63, so
-    no partial sum overflows, else Python ints."""
+    ``columns``, the world table (Columns.of() raises on mixed signatures),
+    ``masses`` over ``denominator`` and the ``positive`` mask. Integer masses
+    are int64 while they sum below 2**63, so no partial sum overflows, else
+    Python ints."""
     if isinstance(masses, list):
         masses = np.array(masses, dtype=np.int64 if sum(masses) < 2**63 else object)
-    words = pack((w.bits for w in worlds), source.signature.n_atoms)
-    source.__dict__.update(columns=Columns(words), masses=masses,
+    source.__dict__.update(columns=Columns.of(worlds), masses=masses,
                            denominator=denominator, positive=masses > 0)
 
 
@@ -39,10 +39,7 @@ class Dataset:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("a dataset needs at least one entry")
-        sig = self.entries[0][0].signature
-        for w, count in self.entries:
-            if not (w.signature is sig or w.signature == sig):
-                raise ValueError("dataset entries mix signatures")
+        for _, count in self.entries:
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {count!r}")
         _pack(self, [w for w, _ in self.entries], [c for _, c in self.entries])

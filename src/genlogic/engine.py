@@ -20,12 +20,12 @@ Arithmetic follows the numeric types supplied: exact fractions in, exact
 fractions out; floats in, floats out. Dataset paths with ``ONE`` or
 ``LIMIT_ONE`` count integers and return exact fractions.
 
-Every all-worlds path reads one bool matrix over the source's atom columns,
-``_truths``: a ``worlds.truth`` row per formula occurrence. A source unpacks
-an atom's column from its packed words the first time a formula reads it and
-keeps it, so later queries reuse it. A world's premise score is its column
-sum, entailment the column's conjunction, and MCS/MPS read the rows of the
-distinct premises. The conditional family
+Every all-worlds path reads ``_truths``, a ``worlds.truth`` row per formula
+occurrence over a world table, ``worlds.Columns``: a source's own, or the
+one ``mcs`` and ``classical_entails`` pack from their world list. A table
+unpacks an atom's column the first time a formula reads it and keeps it. A
+world's premise score is its column sum, entailment the column's
+conjunction, and MCS/MPS read the rows of the distinct premises. The conditional family
 (``cond_prob``, ``prob``, ``joint_prob``, ``cond_prob_multi``) reduces one
 histogram of mass by (premise score, satisfied conclusions) under one
 per-score weight table. Exact results equal a per-world sum. Float
@@ -53,7 +53,7 @@ import numpy as np
 from .data import Dataset, ModelDistribution
 from .formulas import Formula
 from .signature import Signature
-from .worlds import Columns, World, _bit, compile_formula, pack, truth
+from .worlds import Columns, World, _bit, compile_formula, truth
 from .worlds import evaluate  # unused here: perfbench counts calls through engine.evaluate
 
 
@@ -115,13 +115,13 @@ class Query:
     premises: tuple[Formula, ...] = ()
 
 
-def _truths(formulas, columns: Columns, index) -> np.ndarray:
+def _truths(formulas, columns: Columns) -> np.ndarray:
     """One ``truth`` row per formula occurrence, in order: a C-contiguous bool
-    matrix of shape (len(formulas), rows). A repeated formula is evaluated
-    once per occurrence; no formulas give a (0, rows) matrix."""
+    matrix of shape (len(formulas), len(columns)). A repeated formula is
+    evaluated once per occurrence; no formulas give a (0, rows) matrix."""
     t = np.empty((len(formulas), len(columns)), dtype=bool)
     for j, f in enumerate(formulas):
-        t[j] = truth(f, columns, index)
+        t[j] = truth(f, columns)
     return t
 
 
@@ -137,10 +137,9 @@ def _histogram(premises, conclusions, source) -> list[list]:
     Python numbers. Each cell sums its rows' masses in row order."""
     if not isinstance(source, (Dataset, ModelDistribution)):
         raise TypeError("source must be a Dataset or a ModelDistribution")
-    index = source.signature.atom_index
     width = len(conclusions) + 1
-    key = (_scores(_truths(premises, source.columns, index)) * width
-           + _scores(_truths(conclusions, source.columns, index)))
+    key = (_scores(_truths(premises, source.columns)) * width
+           + _scores(_truths(conclusions, source.columns)))
     hist = np.zeros((len(premises) + 1) * width, dtype=source.masses.dtype)
     np.add.at(hist, key, source.masses)
     den = source.denominator
@@ -236,7 +235,7 @@ def _posterior(premises, source, regime, weighted: bool):
     order; else exact, equal shares being one Fraction. UNDEFINED at total 0.
     """
     premises = tuple(premises)
-    s = _scores(_truths(premises, source.columns, source.signature.atom_index))
+    s = _scores(_truths(premises, source.columns))
     live = s[source.positive]
     table = _weights(regime, len(premises), int(live.min()), int(live.max()))
     masses = source.masses
@@ -388,7 +387,7 @@ def update(est: RunningEstimate, world: World) -> RunningEstimate:
     """
     sig = est.signature
     if not (world.signature is sig or world.signature == sig):
-        raise ValueError("dataset entries mix signatures")
+        raise ValueError("worlds mix signatures")
     i = est.cell(world.bits)  # compiles the cell first if est was unpickled
     state = est.__dict__.copy()
     state.pop("value", None)
@@ -401,25 +400,24 @@ def update(est: RunningEstimate, world: World) -> RunningEstimate:
 
 def classical_entails(premises: Sequence[Formula], alpha: Formula,
                       worlds: Sequence[World]) -> bool:
-    """Every world satisfying all premises also satisfies the conclusion."""
+    """Every world satisfying all premises also satisfies the conclusion.
+
+    True on no worlds; a list that mixes signatures raises ValueError.
+    """
     worlds = tuple(worlds)
-    if not worlds:
-        return True
-    index = worlds[0].signature.atom_index
-    columns = Columns(pack((w.bits for w in worlds), len(index)))
-    return not _counterexamples(premises, alpha, columns, index).any()
+    return not worlds or not _counterexamples(premises, alpha, Columns.of(worlds)).any()
 
 
 def possible_entails(premises: Sequence[Formula], alpha: Formula,
                      dist: ModelDistribution) -> bool:
     """classical_entails restricted to the distribution's possible worlds."""
-    bad = _counterexamples(premises, alpha, dist.columns, dist.signature.atom_index)
+    bad = _counterexamples(premises, alpha, dist.columns)
     return not (bad & dist.positive).any()
 
 
-def _counterexamples(premises, alpha, columns, index) -> np.ndarray:
-    """The rows where every premise holds and alpha does not."""
-    return _truths(premises, columns, index).all(axis=0) & ~truth(alpha, columns, index)
+def _counterexamples(premises, alpha, columns: Columns) -> np.ndarray:
+    """The rows of the table where every premise holds and alpha does not."""
+    return _truths(premises, columns).all(axis=0) & ~truth(alpha, columns)
 
 
 @dataclass(frozen=True)
@@ -430,18 +428,20 @@ class SubsetAnalysis:
     union_models: tuple[World, ...]
 
 
-def _maximal_subsets(premises, columns, index, live):
-    """The maximal satisfied premise sets over the ``live`` rows of columns,
-    and those rows, ascending, that reach the maximal count.
+def _maximal_subsets(premises, columns: Columns, live=None):
+    """The maximal satisfied premise sets over the ``live`` rows of the table
+    (all rows when None), and those rows, ascending, that reach the maximal
+    count.
 
     Each row's satisfied set is packed into a byte string, one bit per
     distinct premise, and the distinct strings are read back as the subsets.
     (A set of the strings, not np.unique: that imports numpy.ma.)
     """
     formulas = list(dict.fromkeys(premises))  # set semantics
-    sat = _truths(formulas, columns, index)
+    sat = _truths(formulas, columns)
     n = _scores(sat)
-    rows = np.flatnonzero(live & (n == n[live].max()))
+    top = n == (n.max() if live is None else n[live].max())
+    rows = np.flatnonzero(top if live is None else live & top)
     packed = np.packbits(sat[:, rows], axis=0)
     keys = np.zeros((len(rows), max(len(packed), 1)), dtype=np.uint8)  # no 0-byte keys
     keys[:, :len(packed)] = packed.T
@@ -460,21 +460,19 @@ def mcs(premises: Sequence[Formula], worlds: Sequence[World]) -> SubsetAnalysis:
     enumeration. Every such subset is the satisfied set of some world of
     maximal satisfied count, so the union of the subsets' model sets is
     exactly the worlds reported in ``union_models``, in list order.
-    Duplicates among the premises are collapsed: subsets are sets.
+    Duplicates among the premises are collapsed: subsets are sets. No worlds,
+    or a list that mixes signatures, raises ValueError.
     """
     worlds = tuple(worlds)
     if not worlds:
         raise ValueError("no worlds to judge consistency against")
-    index = worlds[0].signature.atom_index
-    columns = Columns(pack((w.bits for w in worlds), len(index)))
-    subsets, rows = _maximal_subsets(premises, columns, index, np.ones(len(worlds), bool))
+    subsets, rows = _maximal_subsets(premises, Columns.of(worlds))
     return SubsetAnalysis(subsets, tuple([worlds[i] for i in rows.tolist()]))
 
 
 def mps(premises: Sequence[Formula], dist: ModelDistribution) -> SubsetAnalysis:
     """Like mcs, but consistency is judged over the possible worlds only."""
-    subsets, rows = _maximal_subsets(premises, dist.columns, dist.signature.atom_index,
-                                     dist.positive)
+    subsets, rows = _maximal_subsets(premises, dist.columns, dist.positive)
     return SubsetAnalysis(subsets, tuple([dist.worlds[i] for i in rows.tolist()]))
 
 

@@ -36,22 +36,6 @@ class World:
         """Atom values in signature order, atom 0 first."""
         return "".join(map(str, self.truths()))
 
-    def hamming(self, other: "World") -> int:
-        return (self.bits ^ other.bits).bit_count()
-
-    @classmethod
-    def from_truths(cls, sig: Signature, values) -> "World":
-        vals = list(values)
-        if len(vals) != sig.n_atoms:
-            raise ValueError(f"expected {sig.n_atoms} truth values, got {len(vals)}")
-        bits = 0
-        for j, v in enumerate(vals):
-            if v not in (0, 1):
-                raise ValueError(f"truth value must be 0 or 1, got {v!r}")
-            if v:
-                bits |= 1 << j
-        return cls(sig, bits)
-
     @classmethod
     def from_bitstring(cls, sig: Signature, text: str) -> "World":
         if len(text) != sig.n_atoms:
@@ -80,21 +64,10 @@ class World:
         return f"World({n} atoms, {self.bits.bit_count()} true)"
 
 
-def enumerate_worlds(sig: Signature, cap: int = 20) -> list[World]:
-    """All assignments, ordered lexicographically by truth tuple.
-
-    The first declared atom varies slowest: row k reads as the k-th binary
-    number with atom 0 as its most significant bit. Raises TooManyAtoms past
-    ``cap`` atoms; larger vocabularies are served by the data-driven paths.
-    """
-    n = sig.n_atoms
-    if n > cap:
-        raise TooManyAtoms(f"{n} atoms exceeds the enumeration cap of {cap}")
-    k = np.arange(1 << n)
-    bits = np.zeros_like(k)
-    for j in range(n):
-        bits |= (k >> (n - 1 - j) & 1) << j
-    return [World(sig, b) for b in bits.tolist()]
+def enumerate_worlds(sig: Signature) -> list[World]:
+    """All assignments, ordered lexicographically by truth tuple: the World of
+    each row of Columns.every(sig), which raises TooManyAtoms past 20 atoms."""
+    return [World(sig, b) for b in Columns.every(sig).words.ravel().tolist()]
 
 
 def evaluate(f: Formula, w: World) -> bool:
@@ -190,7 +163,8 @@ def _unpack(words: np.ndarray, j: int) -> np.ndarray:
 
 
 class Columns:
-    """One bool column per atom over a packed word matrix (see pack()).
+    """The world table: worlds over one ``signature`` as packed ``words``, one
+    row per world (see pack()). Only of() and every() pack worlds.
 
     ``columns[j]`` is atom j at every row, unpacked from ``words`` the first
     time it is read and kept: C-contiguous and read-only, so every formula
@@ -199,17 +173,41 @@ class Columns:
     a new atom at once may both unpack it; either array is right.
     """
 
-    __slots__ = ("words", "_cache")
+    __slots__ = ("signature", "words", "_cache")
 
-    def __init__(self, words: np.ndarray):
+    def __init__(self, signature: Signature, words: np.ndarray):
+        self.signature = signature
         self.words = words
         self._cache = {}
+
+    @classmethod
+    def of(cls, worlds) -> "Columns":
+        """A nonempty world list as a table, rows in list order; raises
+        ValueError when its worlds mix signatures."""
+        sig = worlds[0].signature
+        bits = [w.bits for w in worlds if w.signature is sig or w.signature == sig]
+        if len(bits) != len(worlds):
+            raise ValueError("worlds mix signatures")
+        return cls(sig, pack(bits, sig.n_atoms))
+
+    @classmethod
+    def every(cls, sig: Signature) -> "Columns":
+        """Every assignment, lexicographically by truth tuple: row k is the
+        k-th binary number, atom 0 its most significant bit. Raises
+        TooManyAtoms past 20 atoms."""
+        n = sig.n_atoms
+        if n > 20:
+            raise TooManyAtoms(f"{n} atoms exceeds the enumeration cap of 20")
+        bits = np.zeros(1, dtype=np.uint64)
+        for j in reversed(range(n)):  # the atom added last varies slowest
+            bits = np.concatenate((bits, bits | 1 << j))
+        return cls(sig, bits.reshape(-1, 1))
 
     def __len__(self) -> int:
         return len(self.words)
 
     def __reduce__(self):
-        return Columns, (self.words,)  # a copy unpacks again, read-only
+        return Columns, (self.signature, self.words)  # a copy unpacks again, read-only
 
     def __getitem__(self, j: int) -> np.ndarray:
         col = self._cache.get(j)
@@ -220,12 +218,12 @@ class Columns:
         return col
 
 
-def truth(f: Formula, columns: Columns, index: dict[str, int]) -> np.ndarray:
+def truth(f: Formula, columns: Columns) -> np.ndarray:
     """evaluate() at every row of ``columns``: one bool per row.
 
-    This is compile_formula() with a column leaf, so both sides of every
-    connective are evaluated and an unknown atom raises even where evaluate()
-    would have short-circuited past it. A bare atom gives its cached column,
-    which is read-only.
+    This is compile_formula() over the table's signature with a column leaf,
+    so both sides of every connective are evaluated and an unknown atom
+    raises even where evaluate() would have short-circuited past it. A bare
+    atom gives its cached column, which is read-only.
     """
-    return compile_formula(f, index, _column)(columns)
+    return compile_formula(f, columns.signature.atom_index, _column)(columns)

@@ -1,9 +1,25 @@
 """End-to-end command-line checks, including the exit-code contract."""
 
+from random import Random
+
 import pytest
 
-from genlogic import Signature, mnist, read_dataset_csv, read_distribution
+from genlogic import (
+    Signature,
+    classical_entails,
+    enumerate_worlds,
+    ground,
+    mcs,
+    mnist,
+    parse_premises,
+    parse_query,
+    pretty,
+    read_dataset_csv,
+    read_distribution,
+)
 from genlogic.cli import main
+
+from helpers import random_formula, random_premises
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +204,33 @@ def test_entail_mps_lines(desk, capsys):
     assert out == "{rain -> wet, ~wet}\n{wet, rain -> wet}\n"
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_entail_mcs_and_classical_answer_as_the_world_list_does(tmp_path, capsys, n):
+    # the CLI reads every assignment as packed words; the library functions
+    # take the enumerated Worlds. The formulas leave some atoms unmentioned.
+    rng = Random(600 + n)
+    sig_path = tmp_path / "wide.sig"
+    sig_path.write_text("".join(f"prop a{i}\n" for i in range(n)))
+    sig = Signature.read(sig_path)
+    worlds = enumerate_worlds(sig)
+    for _ in range(12):
+        mentioned = Signature(propositions=tuple(rng.sample(sig.propositions, rng.randint(1, n))))
+        text = "; ".join(pretty(f) for f in random_premises(rng, mentioned, min_n=1))
+        premises = tuple(ground(f, sig) for f in parse_premises(text, sig))
+        order = list(dict.fromkeys(premises))
+        want = sorted("{" + ", ".join(pretty(f) for f in order if f in subset) + "}"
+                      for subset in mcs(premises, worlds).subsets)
+        rc, out, err = run(capsys, "entail", text, "--mode", "mcs", "--signature", str(sig_path))
+        assert (rc, out, err) == (0, "".join(line + "\n" for line in want), "")
+        query = f"{pretty(random_formula(rng, mentioned))} | {text}"
+        alpha, parsed = parse_query(query, sig)
+        entailed = classical_entails(tuple(ground(f, sig) for f in parsed), ground(alpha, sig),
+                                     worlds)
+        rc, out, err = run(capsys, "entail", query, "--mode", "classical",
+                           "--signature", str(sig_path))
+        assert (rc, out, err) == (0, "yes\n" if entailed else "no\n", "")
+
+
 def test_entail_gc(desk, capsys):
     base = (
         "entail", "rain | wet", "--mode", "gc",
@@ -247,15 +290,17 @@ def test_cli_usage_errors_from_validation(desk, capsys):
         capsys.readouterr()
 
 
-_UNREAD = {"classical": ("--data", "--dist", "--theta", "--one", "--limit", "--mu"),
+_UNREAD = {"classical": ("--data", "--dist", "--theta", "--one", "--limit", "--mu",
+                         "--exact", "--float"),
            "possible": ("--data", "--theta", "--one", "--limit", "--mu")}
 _UNREAD["mcs"], _UNREAD["mps"] = _UNREAD["classical"], _UNREAD["possible"]
 
 
 @pytest.mark.parametrize("mode, flag", [(m, f) for m, flags in _UNREAD.items() for f in flags])
 def test_entail_refuses_flags_its_mode_does_not_read(desk, capsys, mode, flag):
-    """classical and mcs read no source, threshold or regime; possible and mps
-    read --dist only. Such a flag is refused, not silently ignored."""
+    """classical and mcs read no source, threshold, regime or number flag;
+    possible and mps read --dist only of the first six. Such a flag is
+    refused, not silently ignored."""
     value = {"--data": str(desk / "rain.csv"), "--dist": str(desk / "fig.dist"),
              "--theta": "0.6", "--mu": "0.3"}
     query = "rain; ~rain" if mode in ("mcs", "mps") else "wet | rain"
@@ -268,6 +313,25 @@ def test_entail_refuses_flags_its_mode_does_not_read(desk, capsys, mode, flag):
     rc, out, err = run(capsys, "entail", query, "--mode", mode,
                        "--signature", str(desk / "rain.sig"), *needed)
     assert rc == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("mode", ["possible", "mps", "gc"])
+def test_entail_modes_that_read_a_distribution_take_number_flags(desk, capsys, mode):
+    # where the mode reads a --dist, --exact is its default and --float is taken
+    query = "rain; ~rain" if mode == "mps" else "wet | rain"
+    argv = ("entail", query, "--mode", mode, "--signature", str(desk / "rain.sig"),
+            "--dist", str(desk / "fig.dist"), *(("--theta", "0.6") if mode == "gc" else ()))
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and plain[1]
+    assert run(capsys, *argv, "--exact") == run(capsys, *argv, "--float") == plain
+
+
+def test_entail_gc_is_exact_unless_float(desk, capsys):
+    # p(rain | wet) is 3/5 exactly, and 0.3 / 0.5 in floats falls below 3/5
+    argv = ("entail", "rain | wet", "--mode", "gc", "--theta", "3/5", "--one",
+            "--signature", str(desk / "rain.sig"), "--dist", str(desk / "fig.dist"))
+    assert [run(capsys, *argv, *flag) for flag in ((), ("--exact",), ("--float",))] == [
+        (0, "yes\n", ""), (0, "yes\n", ""), (0, "no\n", "")]
 
 
 def test_cli_help_exits_zero(capsys):

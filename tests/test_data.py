@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from genlogic import (
     LIMIT_ONE,
     ONE,
+    Atom,
     Dataset,
     ModelDistribution,
     Query,
     Signature,
     World,
+    classical_entails,
     cond_prob,
     dataset_from_csv,
     distribution_from_text,
     enumerate_worlds,
     fixed,
+    mcs,
     mps,
     possible_entails,
     posterior_models,
@@ -85,6 +88,24 @@ def test_dataset_validation(rain_sig, bird_sig):
         Dataset(((World(rain_sig, 0), Fraction(1, 2)),))
     with pytest.raises(ValueError, match="mix signatures"):
         Dataset(((World(rain_sig, 0), 1), (World(bird_sig, 0), 1)))
+
+
+def test_world_lists_that_mix_signatures_are_refused():
+    # a 2-atom list with a 3-atom world in it would pack bit 2 under 2 atoms
+    sig2, sig3 = (Signature(propositions=tuple("pqr"[:n])) for n in (2, 3))
+    mixed = (World(sig2, 0), World(sig3, 0b101))
+    p = Atom("p")
+    for build in (lambda: Dataset.of(mixed),
+                  lambda: ModelDistribution(mixed, (Fraction(1, 2), Fraction(1, 2))),
+                  lambda: ModelDistribution(mixed, (0.5, 0.5)),
+                  lambda: mcs((p,), mixed),
+                  lambda: classical_entails((p,), p, mixed)):
+        with pytest.raises(ValueError, match="mix signatures"):
+            build()
+    # equal signatures that are distinct objects share a table
+    same = (World(sig2, 0), World(Signature(propositions=("p", "q")), 0b11))
+    assert mcs((p,), same).union_models == same[1:]
+    assert classical_entails((p,), Atom("q"), same)
 
 
 def test_dataset_helpers(rain_sig):

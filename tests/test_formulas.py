@@ -160,4 +160,3 @@ def test_world_bitstring_roundtrip():
     w = World.from_bitstring(sig, "101")
     assert w.truths() == (1, 0, 1)
     assert w.bitstring() == "101"
-    assert World.from_truths(sig, (1, 0, 1)) == w

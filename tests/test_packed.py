@@ -127,7 +127,7 @@ def test_truth_matches_evaluate_across_words(seed):
     assert words.shape == (40, 2) and words.dtype == np.uint64
     for _ in range(20):
         f = _formula(rng, 3)
-        got = truth(f, Columns(words), SIG70.atom_index)
+        got = truth(f, Columns(SIG70, words))
         assert got.tolist() == [evaluate(f, w) for w in worlds]
 
 
@@ -218,7 +218,7 @@ def test_columns_are_cached_contiguous_and_read_only(seed, monkeypatch):
         assert column.dtype == bool and column.flags.c_contiguous
         assert not column.flags.writeable
         assert column.tolist() == [bool(w.bits >> j & 1) for w in dist.worlds]
-    rain = truth(Atom("a63"), dist.columns, SIG70.atom_index)
+    rain = truth(Atom("a63"), dist.columns)
     assert rain is dist.columns[63]
     with pytest.raises(ValueError, match="read-only"):
         rain[0] = not rain[0]
@@ -226,6 +226,7 @@ def test_columns_are_cached_contiguous_and_read_only(seed, monkeypatch):
         np.logical_not(rain, out=rain)
     assert [cond_prob(q, dist, r) for q in queries for r in regimes] == before
     for copy in (pickle.loads(pickle.dumps(dist)), deepcopy(dist)):
+        assert copy.columns.signature == SIG70
         assert not copy.columns[63].flags.writeable
         assert [cond_prob(q, copy, r) for q in queries for r in regimes] == before
 

@@ -10,7 +10,6 @@ from random import Random
 
 import pytest
 
-import genlogic.engine
 import genlogic.worlds
 from genlogic import (
     LIMIT_ONE,
@@ -165,7 +164,7 @@ def test_mps_and_possible_entails_read_the_cached_columns(monkeypatch):
 
     unpacked = []
     unpack = genlogic.worlds._unpack
-    monkeypatch.setattr(genlogic.engine, "pack", no_pack)
+    monkeypatch.setattr(genlogic.worlds, "pack", no_pack)
     monkeypatch.setattr(genlogic.worlds, "_unpack",
                         lambda words, j: unpacked.append((id(words), j)) or unpack(words, j))
     for prem, dist, alpha, want_mps, want_entails in cases:

@@ -261,7 +261,7 @@ def test_compiled_formula_matches_evaluate(data):
 def test_compile_raises_what_truth_raises():
     sig = Signature(propositions=("p", "q"), predicates=(("b", 1),), constants=("c",))
     index = sig.atom_index
-    columns = Columns(pack(range(1 << sig.n_atoms), sig.n_atoms))
+    columns = Columns(sig, pack(range(1 << sig.n_atoms), sig.n_atoms))
     p, zap = Atom("p"), Atom("zap")
     x = Atom("b", (Var("x"),))
     # an unknown atom where evaluate() would short-circuit past it raises too
@@ -269,7 +269,7 @@ def test_compile_raises_what_truth_raises():
            x, Forall("x", x), Exists("x", x), Not(Exists("x", x)), "p", Not(None))
     for f in bad:
         with pytest.raises((ValueError, TypeError)) as want:
-            truth(f, columns, index)
+            truth(f, columns)
         with pytest.raises(want.type) as got:
             compile_formula(f, index)
         assert str(got.value) == str(want.value)

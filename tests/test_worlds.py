@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from genlogic import (
@@ -16,6 +17,7 @@ from genlogic import (
     evaluate,
     parse_formula,
 )
+from genlogic.worlds import Columns
 
 SIG3 = Signature(propositions=("p", "q", "r"))
 
@@ -34,9 +36,19 @@ def test_enumeration_row_reads_as_binary(k):
 
 def test_enumeration_cap():
     big = Signature(propositions=tuple(f"x{i}" for i in range(21)))
-    with pytest.raises(TooManyAtoms):
-        enumerate_worlds(big)
-    assert len(enumerate_worlds(big, cap=21)) == 2 ** 21
+    for enumerate_ in (enumerate_worlds, Columns.every):
+        with pytest.raises(TooManyAtoms, match="^21 atoms exceeds the enumeration cap of 20$"):
+            enumerate_(big)
+    table = Columns.every(Signature(propositions=big.propositions[:20]))
+    assert len(table) == 2 ** 20 and table.words.shape == (2 ** 20, 1)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_every_row_is_the_enumerated_world(n):
+    sig = Signature(propositions=tuple(f"x{i}" for i in range(n)))
+    table = Columns.every(sig)
+    assert table.signature is sig and table.words.dtype == np.uint64
+    assert table.words.ravel().tolist() == [w.bits for w in enumerate_worlds(sig)]
 
 
 def test_world_bits_out_of_range():
@@ -65,11 +77,6 @@ def test_world_equality_and_hash(rain_sig):
     assert a == b and hash(a) == hash(b)
     assert a != World(rain_sig, 3)
     assert a != 2
-
-
-def test_hamming():
-    assert World(SIG3, 0b101).hamming(World(SIG3, 0b011)) == 2
-    assert World(SIG3, 0b101).hamming(World(SIG3, 0b101)) == 0
 
 
 def test_evaluate_connectives():
@@ -101,18 +108,3 @@ def test_models_of_is_intersection_of_model_sets():
     g = parse_formula("~r", SIG3)
     models = {h: {w for w in worlds if evaluate(h, w)} for h in (f, g)}
     assert {w for w in worlds if evaluate(And(f, g), w)} == models[f] & models[g]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=7))
-def test_from_truths_matches_enumeration(k):
-    w = World.from_truths(SIG3, tuple(int(d) for d in format(k, "03b")))
-    assert enumerate_worlds(SIG3)[k] == w
-
-
-def test_hamming_counts_differing_atoms():
-    ws = enumerate_worlds(SIG3)
-    for a in ws:
-        for b in ws:
-            expected = sum(x != y for x, y in zip(a.truths(), b.truths()))
-            assert a.hamming(b) == expected
