@@ -22,11 +22,13 @@ from genlogic import (
     Or,
     Signature,
     enumerate_worlds,
+    fixed,
     posterior_data,
 )
 from genlogic.mnist import (
     DEFAULT_THRESHOLD,
     N_DIGITS,
+    N_PIXELS,
     image_bits,
     image_dataset,
     pixel_premises,
@@ -101,3 +103,25 @@ def digit_posterior_spec(train, image, regime, threshold=DEFAULT_THRESHOLD):
     for label, wt in zip(train.labels.tolist(), weights):
         totals[label] += wt
     return tuple(totals)
+
+
+# Plain statements of the curve's k-NN and fixed-mu scorers, one partition per
+# k and one training-order cumsum per label: the differential tests' references.
+def knn_votes_reference(dist, onehot, k):
+    """Label vote shares among the k nearest rows; ties go to the earlier row."""
+    n = dist.shape[1]
+    nearest = np.argpartition(dist * n + np.arange(n), k - 1, axis=1)[:, :k]
+    return onehot[nearest].sum(axis=1) / k
+
+
+def fixed_scores_reference(mu, dist, onehot):
+    """Per-label share of r**(d - d_ref), one training-order cumsum per label."""
+    mu = fixed(mu).mu
+    r = (1 - mu) / mu
+    sign = 1 if r <= 1 else -1
+    powers = np.array([float(r ** (sign * e)) for e in range(N_PIXELS + 1)])
+    ref = (dist.min if sign > 0 else dist.max)(axis=1, keepdims=True)
+    weights = powers[sign * (dist - ref)]
+    weights /= np.cumsum(weights, axis=1)[:, -1:]
+    return np.stack([np.cumsum(weights[:, onehot[:, d] > 0], axis=1)[:, -1:].sum(axis=1)
+                     for d in range(N_DIGITS)], axis=1)

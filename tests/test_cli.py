@@ -545,6 +545,29 @@ def _curve_files(capsys, mnist_dir, out, *flags):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
+def test_mnist_curve_overwrites_files_in_place(mnist_dir, tmp_path, capsys):
+    longer = _curve_files(capsys, mnist_dir, tmp_path / "reused", "--sizes", "10,20",
+                          "--test", "60")
+    shorter = _curve_files(capsys, mnist_dir, tmp_path / "reused")
+    fresh = _curve_files(capsys, mnist_dir, tmp_path / "fresh")
+    assert shorter == fresh
+    # files rewritten shorter were cut to their new length
+    shrunk = {name for name in fresh if len(longer[name]) > len(fresh[name])}
+    assert "learning_curve.csv" in shrunk and len(shrunk) > len(fresh) // 2
+
+
+def test_mnist_curve_names_the_digits_a_short_test_prefix_misses(mnist_dir, tmp_path,
+                                                                  capsys):
+    # The synthetic test labels run 0, 1, 2, ...: five images miss 5..9.
+    rc, out, err = run(
+        capsys, "mnist", "curve", "--mnist-dir", str(mnist_dir),
+        "--sizes", "10", "--test", "5", "--out", str(tmp_path),
+    )
+    assert (rc, out) == (2, "")
+    assert err == ("error: no digit 5, 6, 7, 8, 9 among the first 5 test images; "
+                   "each digit's ROC needs both classes\n")
+
+
 @pytest.mark.parametrize("flags, mus", [
     (("--exact", "--mu", "3/10,4/5"), ("3/10", "4/5")),
     (("--float", "--mu", "0.3,0.8"), ("0.3", "0.8")),

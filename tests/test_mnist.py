@@ -9,6 +9,9 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from genlogic import LIMIT_ONE, ONE, Atom, Query, UNDEFINED, cond_prob, fixed
 from genlogic import mnist
@@ -29,12 +32,13 @@ from genlogic.mnist import (
     locate_idx_files,
     predict_digit,
     roc_curve,
+    roc_curves,
     write_idx,
     write_pgm,
 )
 from genlogic.oracle import allnn_bruteforce
 from genlogic.synthdata import make_image_set
-from helpers import digit_posterior_spec
+from helpers import digit_posterior_spec, fixed_scores_reference, knn_votes_reference
 
 
 @pytest.fixture(scope="module")
@@ -363,23 +367,53 @@ def test_curve_scores_equal_spec_paths(small_sets):
     brute = allnn_bruteforce(train_bits.tolist(), test_bits.tolist())
     for size in (45, 75, 90):
         prefix = train.take(size)
-        d, onehot = dist[:, :size], np.eye(10)[train.labels[:size]]
+        d, labels = dist[:, :size], train.labels[:size]
 
         def spec(regime):
             return np.array([[float(p) for p in predict_digit(prefix, image, regime)]
                              for image in test.images])
 
-        assert np.array_equal(mnist._limit_scores(d, onehot), spec(LIMIT_ONE))
+        assert np.array_equal(mnist._limit_scores(d, labels), spec(LIMIT_ONE))
         # Same float operations in the same order: equal, not merely close.
-        assert np.array_equal(mnist._fixed_scores(0.8)(d, onehot), spec(fixed(0.8)))
-        np.testing.assert_allclose(mnist._fixed_scores(Fraction(4, 5))(d, onehot),
+        assert np.array_equal(mnist._fixed_scores(0.8)(d, labels), spec(fixed(0.8)))
+        np.testing.assert_allclose(mnist._fixed_scores(Fraction(4, 5))(d, labels),
                                    spec(fixed(Fraction(4, 5))), rtol=1e-12, atol=0)
-        for k in (1, 2, 5):
+        ks = (1, 2, 5)
+        for k, got in zip(ks, mnist._knn_votes(d, labels, ks)):
             want = np.zeros((len(test), 10))
             for i, row in enumerate(brute):
                 for j in sorted(range(size), key=lambda j: row[j])[:k]:  # stable
                     want[i, train.labels[j]] += 1
-            assert np.array_equal(mnist._knn_votes(d, onehot, k), want / k)
+            assert np.array_equal(got, want / k)
+
+
+@st.composite
+def _distances(draw):
+    """Distance matrices with heavy ties, and labels that leave digits out."""
+    n_test, n_train = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    top = draw(st.sampled_from((2, 5, 784)))  # few distinct values, or the full range
+    dist = draw(arrays(np.int64, (n_test, n_train), elements=st.integers(0, top)))
+    digits = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    return dist, draw(arrays(np.uint8, n_train, elements=st.sampled_from(digits)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distances(), st.data())
+def test_knn_votes_equal_one_partition_per_k(case, data):
+    dist, labels = case
+    ks = data.draw(st.lists(st.integers(1, len(labels)), min_size=1, max_size=4, unique=True))
+    for k, got in zip(ks, mnist._knn_votes(dist, labels, ks)):
+        assert np.array_equal(got, knn_votes_reference(dist, np.eye(10)[labels], k))
+
+
+# r < 1 and r > 1, in float and in Fraction arithmetic
+@pytest.mark.parametrize("mu", [0.8, 0.3, Fraction(4, 5), Fraction(3, 10)])
+@settings(max_examples=50, deadline=None)
+@given(case=_distances())
+def test_fixed_scores_equal_one_cumsum_per_label(mu, case):
+    dist, labels = case
+    got = mnist._fixed_scores(mu)(dist, labels)
+    assert np.array_equal(got, fixed_scores_reference(mu, dist, np.eye(10)[labels]))
 
 
 def test_curve_blocks_over_test_rows(small_sets, monkeypatch):
@@ -431,6 +465,39 @@ def test_roc_equals_loop_sweep():
         labels[:2] = (True, False)
         curve = roc_curve(scores, labels)
         assert (curve.points, curve.auc) == _roc_sweep(scores.tolist(), labels.tolist())
+
+
+@st.composite
+def _roc_rows(draw):
+    """(m, n) scores with heavy ties, some rows all tied, each row with both classes."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(2, 60))
+    scores = draw(arrays(np.float64, (m, n), elements=st.sampled_from((0.0, 0.2, 0.4, 0.8))))
+    tied = draw(arrays(bool, m))
+    scores[tied] = scores[tied, :1]
+    labels = draw(arrays(bool, (m, n)))
+    first = draw(arrays(np.int64, m, elements=st.integers(0, n - 2)))
+    labels[np.arange(m), first], labels[np.arange(m), first + 1] = True, False
+    return scores, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_roc_rows())
+def test_roc_curves_equal_loop_sweep_row_by_row(case):
+    scores, labels = case
+    for curve, row, positive in zip(roc_curves(scores, labels), scores, labels):
+        points, auc = _roc_sweep(row.tolist(), positive.tolist())
+        assert curve.points == points
+        assert curve.auc.hex() == auc.hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_roc_rows(), st.data())
+def test_roc_curves_reject_a_one_class_row(case, data):
+    scores, labels = case
+    row = data.draw(st.integers(0, len(labels) - 1))
+    labels[row] = data.draw(st.booleans())
+    with pytest.raises(ValueError, match="one positive and one negative"):
+        roc_curves(scores, labels)
 
 
 def test_roc_golden():
@@ -504,6 +571,27 @@ def test_learning_curve_small(tmp_path, small_sets):
     assert header == "method,param,train_size,digit,auc,macro_auc"
     roc_files = list(tmp_path.glob("roc_*.csv"))
     assert roc_files
+
+
+def test_learning_curve_method_subsets_match_the_full_run(small_sets):
+    train, test = small_sets
+    args = dict(sizes=(40, 80), test_size=30)
+    full = learning_curve(train, test, mus=(0.8,), ks=(1, 3), **args)
+    assert learning_curve(train, test, mus=(0.8,), include_limit=False, ks=(), **args) == \
+        tuple(p for p in full if p.method == "gl-mu")
+    assert learning_curve(train, test, mus=(), include_limit=False, ks=(3,), **args) == \
+        tuple(p for p in full if p.param == "3")
+
+
+def test_learning_curve_names_the_missing_digits(small_sets):
+    train, test = small_sets  # test labels run 0..9, four times
+    with pytest.raises(ValueError, match=r"^no digit 7, 8, 9 among the first 7 test images;"):
+        learning_curve(train, test, sizes=(40,), test_size=7)
+    threes = ImageSet(test.images[test.labels == 3], test.labels[test.labels == 3])
+    with pytest.raises(ValueError, match=r"^only digit 3 among the first 4 test images;"):
+        learning_curve(train, threes, sizes=(40,), test_size=10)
+    with pytest.raises(ValueError, match=r"^only digit 0 among the first 1 test image;"):
+        learning_curve(train, test, sizes=(40,), test_size=1)
 
 
 def test_learning_curve_rejects_oversized_train_request(small_sets):
